@@ -357,14 +357,12 @@ def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     var = (centered * centered).mean(axis=axis, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     y = centered * inv_std
-    n = a.data.shape[axis]
 
     def rule(g):
         g_mean = g.mean(axis=axis, keepdims=True)
         gy_mean = (g * y).mean(axis=axis, keepdims=True)
         return (inv_std * (g - g_mean - y * gy_mean),)
 
-    del n
     return _emit(Tensor(y), (a,), rule)
 
 

@@ -91,10 +91,6 @@ class TooFewMethods(SpecbenchError):
     """Friedman test needs at least three methods and two datasets."""
 
 
-class AllZeroDifferences(SpecbenchError):
-    """Wilcoxon test: every paired difference is zero."""
-
-
 # -- harness -----------------------------------------------------------------
 
 class ConfigError(SpecbenchError):

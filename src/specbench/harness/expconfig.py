@@ -7,30 +7,20 @@ Grammar (line-oriented, UTF-8):
     [section "label"]         labelled section (datasets and models)
     key = value               entry inside the current section
 
-Sections: one optional ``[task]``, one optional ``[run]``, one or more
-``[dataset "name"]`` and ``[model "name"]``. Values are scalars; lists
-are comma-separated. Unknown keys are rejected.
+Sections: at most one ``[task]`` and one ``[run]``, one or more
+``[dataset "name"]`` and ``[model "name"]``. Keys are the fields of the
+dataclasses each section fills, written as ``models.config.encode_field``
+writes them (lists comma-separated, ``none`` for an unset optional);
+unwritten fields keep the dataclass defaults. Unknown keys are rejected.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..models.config import (
-    Attention,
-    Decomposition,
-    Family,
-    Head,
-    LossKind,
-    ModelConfig,
-    ModelSize,
-    PosEncoding,
-    Scaler,
-    Tokenization,
-    TrainConfig,
-)
+from ..models.config import PER_RUN, Family, ModelConfig, TrainConfig, decode_fields
 from ..series import ForecastTask
 
 __all__ = ["DatasetSpec", "ModelSpec", "ExperimentConfig", "parse_config", "load_config"]
@@ -43,7 +33,7 @@ DATASET_KINDS = ("sinusoid", "trend1", "trend2", "csv")
 @dataclass(frozen=True)
 class DatasetSpec:
     name: str
-    kind: str
+    kind: str = "sinusoid"
     path: str | None = None
     n_series: int = 100
     seed: int = 1
@@ -68,10 +58,19 @@ class ModelSpec:
     family: Family
     overrides: dict = field(default_factory=dict)
 
+    def config_fields(self, task: ForecastTask) -> dict:
+        """Every ``ModelConfig`` field value this model runs with on ``task``:
+        the field defaults, then the task's horizon and context length, then
+        the overrides. Builds no ``ModelConfig``, so it never fails."""
+        values = {f.name: f.default for f in fields(ModelConfig) if f.default is not MISSING}
+        values.update(
+            family=self.family, horizon=task.horizon, context_len=task.context_len
+        )
+        values.update(self.overrides)
+        return values
+
     def materialize(self, task: ForecastTask) -> ModelConfig:
-        kwargs = dict(self.overrides)
-        kwargs.setdefault("context_len", task.context_len)
-        return ModelConfig(family=self.family, horizon=task.horizon, **kwargs)
+        return ModelConfig(**self.config_fields(task))
 
 
 @dataclass(frozen=True)
@@ -95,26 +94,9 @@ class ExperimentConfig:
             raise ConfigError("dataset/model names must be unique")
 
 
-_MODEL_ENUM_KEYS = {
-    "tokenization": Tokenization,
-    "attention": Attention,
-    "head": Head,
-    "pos_encoding": PosEncoding,
-    "loss": LossKind,
-    "scaler": Scaler,
-    "decomposition": Decomposition,
-    "size": ModelSize,
-}
-_MODEL_INT_KEYS = (
-    "context_len", "patch_len", "patch_stride", "ar_order",
-    "mlp_hidden", "mlp_depth", "nbeats_blocks", "nbeats_hidden", "nbeats_depth",
-)
-_TASK_KEYS = ("context_len", "horizon", "stride", "split_point", "k")
-_RUN_KEYS = (
-    "seeds", "out_dir", "lr", "batch_series", "windows_batch", "max_steps",
-    "val_check_every", "patience", "dropout",
-)
-_DATASET_KEYS = ("kind", "path", "n_series", "seed", "length", "limit_series", "k")
+def _section_keys(cls) -> frozenset[str]:
+    """Fields of ``cls`` a config section may set: all but the per-run ones."""
+    return frozenset(f.name for f in fields(cls) if not f.metadata.get(PER_RUN))
 
 
 def _parse_sections(text: str) -> list[tuple[str, str | None, dict[str, str]]]:
@@ -145,110 +127,79 @@ def _parse_sections(text: str) -> list[tuple[str, str | None, dict[str, str]]]:
     return sections
 
 
-def _to_int(name: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{name}: expected integer, got {value!r}") from None
+def _split(where: str, kv: dict[str, str], *key_sets) -> list[dict[str, str]]:
+    """Share a section's entries out among ``key_sets``; reject the rest."""
+    for key in kv:
+        if not any(key in keys for keys in key_sets):
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    return [{k: v for k, v in kv.items() if k in keys} for keys in key_sets]
 
 
-def _to_float(name: str, value: str) -> float:
+def _decode(where: str, cls, kv: dict[str, str]) -> dict:
     try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{name}: expected number, got {value!r}") from None
+        return decode_fields(cls, kv)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _build(where: str, cls, kv: dict[str, str], **given):
+    try:
+        return cls(**given, **decode_fields(cls, kv))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _model_spec(name: str, family: Family | None = None, **overrides) -> ModelSpec:
+    if family is None:
+        raise ConfigError(f"model {name!r}: missing family")
+    return ModelSpec(name=name, family=family, overrides=overrides)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    task_kv: dict[str, str] = {}
-    run_kv: dict[str, str] = {}
-    datasets: list[DatasetSpec] = []
+    singles: dict[str, dict[str, str]] = {}
+    dataset_sections: list[tuple[str, dict[str, str]]] = []
     models: list[ModelSpec] = []
 
     for kind, label, kv in _parse_sections(text):
-        if kind == "task":
-            _require_keys("task", kv, _TASK_KEYS)
-            task_kv.update(kv)
-        elif kind == "run":
-            _require_keys("run", kv, _RUN_KEYS)
-            run_kv.update(kv)
+        if kind in ("task", "run"):
+            if kind in singles:
+                raise ConfigError(f"duplicate [{kind}] section")
+            singles[kind] = kv
         elif kind == "dataset":
             if not label:
                 raise ConfigError('dataset sections need a label: [dataset "name"]')
-            _require_keys(f"dataset {label!r}", kv, _DATASET_KEYS)
-            datasets.append(
-                DatasetSpec(
-                    name=label,
-                    kind=kv.get("kind", "sinusoid"),
-                    path=kv.get("path"),
-                    n_series=_to_int("n_series", kv.get("n_series", "100")),
-                    seed=_to_int("seed", kv.get("seed", "1")),
-                    length=_to_int("length", kv.get("length", "1200")),
-                    limit_series=_to_int("limit_series", kv.get("limit_series", "0")),
-                    k=_to_int("k", kv.get("k", task_kv.get("k", "2"))),
-                )
-            )
+            dataset_sections.append((label, kv))
         elif kind == "model":
             if not label:
                 raise ConfigError('model sections need a label: [model "name"]')
-            if "family" not in kv:
-                raise ConfigError(f"model {label!r}: missing family")
-            try:
-                family = Family(kv.pop("family"))
-            except ValueError as exc:
-                raise ConfigError(f"model {label!r}: {exc}") from None
-            overrides: dict = {}
-            for key, value in kv.items():
-                if key in _MODEL_ENUM_KEYS:
-                    try:
-                        overrides[key] = _MODEL_ENUM_KEYS[key](value)
-                    except ValueError as exc:
-                        raise ConfigError(f"model {label!r}: {exc}") from None
-                elif key in _MODEL_INT_KEYS:
-                    overrides[key] = _to_int(key, value)
-                elif key == "nhits_pool_rates":
-                    overrides[key] = tuple(_to_int(key, v) for v in value.split(","))
-                else:
-                    raise ConfigError(f"model {label!r}: unknown key {key!r}")
-            models.append(ModelSpec(name=label, family=family, overrides=overrides))
+            where = f"model {label!r}"
+            (model_kv,) = _split(where, kv, _section_keys(ModelConfig))
+            models.append(_model_spec(label, **_decode(where, ModelConfig, model_kv)))
         else:
             raise ConfigError(f"unknown section [{kind}]")
 
-    task = ForecastTask(
-        context_len=_to_int("context_len", task_kv.get("context_len", "256")),
-        horizon=_to_int("horizon", task_kv.get("horizon", "192")),
+    # [task] holds the task, two experiment fields and the datasets' default
+    # k; [run] holds the train config and two more experiment fields
+    task_kv, task_exp_kv, default_k = _split(
+        "task", singles.get("task", {}),
+        _section_keys(ForecastTask), {"stride", "split_point"}, {"k"},
     )
-    split_point = (
-        _to_int("split_point", task_kv["split_point"]) if "split_point" in task_kv else None
+    train_kv, run_exp_kv = _split(
+        "run", singles.get("run", {}), _section_keys(TrainConfig), {"seeds", "out_dir"}
     )
-    seeds = tuple(
-        _to_int("seeds", s) for s in run_kv.get("seeds", "1,5,10").split(",")
-    )
-    train = TrainConfig(
-        lr=_to_float("lr", run_kv.get("lr", "1e-4")),
-        batch_series=_to_int("batch_series", run_kv.get("batch_series", "4")),
-        windows_batch=_to_int("windows_batch", run_kv.get("windows_batch", "256")),
-        max_steps=_to_int("max_steps", run_kv.get("max_steps", "2000")),
-        val_check_every=_to_int("val_check_every", run_kv.get("val_check_every", "100")),
-        patience=_to_int("patience", run_kv.get("patience", "20")),
-        dropout=_to_float("dropout", run_kv.get("dropout", "0.0")),
-    )
+    datasets = []
+    for label, kv in dataset_sections:
+        where = f"dataset {label!r}"
+        (dataset_kv,) = _split(where, kv, _section_keys(DatasetSpec) - {"name"})
+        datasets.append(_build(where, DatasetSpec, default_k | dataset_kv, name=label))
     return ExperimentConfig(
-        task=task,
+        task=_build("task", ForecastTask, task_kv),
         datasets=datasets,
         models=models,
-        seeds=seeds,
-        stride=_to_int("stride", task_kv.get("stride", "1")),
-        split_point=split_point,
-        train=train,
-        out_dir=run_kv.get("out_dir", "results"),
+        train=_build("run", TrainConfig, train_kv),
+        **_decode("task", ExperimentConfig, task_exp_kv),
+        **_decode("run", ExperimentConfig, run_exp_kv),
     )
-
-
-def _require_keys(where: str, kv: dict[str, str], allowed) -> None:
-    for key in kv:
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

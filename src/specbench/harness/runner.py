@@ -31,6 +31,7 @@ from ..evaluation import (
     mae,
 )
 from ..models import TrainedModel, count_params, estimate_flops, fit, predict
+from ..models.config import encode_field
 from ..preprocess import load_csv
 from ..series import ForecastTask, TimeSeries, WindowPair, make_windows
 from ..spectral import basis_series, dft, top_k_components
@@ -81,18 +82,21 @@ class RunResult:
 def run_id(
     cfg: ExperimentConfig, spec: DatasetSpec, model: ModelSpec, seed: int, mode: str
 ) -> str:
-    """Stable id hashing everything that determines the run's output."""
+    """Stable id hashing the text of every setting the run uses: the task,
+    the train config with the run's seed, the dataset, and every model
+    field with its defaults filled in, so a changed default is a new id."""
+    tables = {
+        "task": {**asdict(cfg.task), "stride": cfg.stride, "split_point": cfg.split_point},
+        "train": asdict(dataclasses.replace(cfg.train, seed=seed)),
+        "dataset": asdict(spec),
+        "model": {"name": model.name, **model.config_fields(cfg.task)},
+    }
     parts = [
-        f"task={cfg.task.context_len},{cfg.task.horizon},{cfg.stride},{cfg.split_point}",
-        f"train={cfg.train.lr},{cfg.train.windows_batch},{cfg.train.max_steps},"
-        f"{cfg.train.val_check_every},{cfg.train.patience},{cfg.train.dropout}",
-        f"dataset={spec.name},{spec.kind},{spec.path},{spec.n_series},{spec.seed},"
-        f"{spec.length},{spec.limit_series},{spec.k}",
-        f"model={model.name},{model.family.value},"
-        + ",".join(f"{k}={v}" for k, v in sorted(model.overrides.items(), key=lambda kv: kv[0])),
-        f"seed={seed}",
-        f"mode={mode}",
+        f"{table}.{key}={encode_field(value)}"
+        for table, values in tables.items()
+        for key, value in values.items()
     ]
+    parts.append(f"mode={mode}")
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
@@ -216,15 +220,31 @@ def execute_run(
     return result
 
 
-def _payload_run(args: tuple[str, str, str, str, int, str]) -> str:
+def _write_run(out: Path, result: RunResult) -> None:
+    """Write a run file through a temporary name, so that a writer killed
+    midway leaves no partial file under the run id."""
+    path = out / f"{result.run_id}.json"
+    tmp = out / f"{result.run_id}.json.{os.getpid()}.tmp"
+    tmp.write_text(result.to_json(), encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def _read_run(path: Path) -> RunResult | None:
+    """The run stored at ``path``, or None if it is missing or unreadable."""
+    try:
+        return RunResult.from_json(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _payload_run(args: tuple[str, str, str, str, int, str]) -> RunResult:
     config_path, out_dir, ds_name, model_name, seed, mode = args
     cfg = load_config(config_path)
     spec = next(d for d in cfg.datasets if d.name == ds_name)
     model_spec = next(m for m in cfg.models if m.name == model_name)
     result = execute_run(cfg, spec, model_spec, seed, mode)
-    path = Path(out_dir) / f"{result.run_id}.json"
-    path.write_text(result.to_json(), encoding="utf-8")
-    return result.run_id
+    _write_run(Path(out_dir), result)
+    return result
 
 
 def run_matrix(
@@ -247,12 +267,17 @@ def run_matrix(
         for seed in cfg.seeds
         for mode in MODES
     ]
+    ids = [run_id(cfg, *cell) for cell in cells]
+    results: dict[str, RunResult] = {}
     pending = []
-    for spec, model, seed, mode in cells:
-        rid = run_id(cfg, spec, model, seed, mode)
-        if not (out / f"{rid}.json").exists():
-            pending.append((spec, model, seed, mode))
-        elif progress:
+    for cell, rid in zip(cells, ids):
+        cached = _read_run(out / f"{rid}.json")
+        if cached is None:
+            pending.append(cell)
+            continue
+        results[rid] = cached
+        if progress:
+            spec, model, seed, mode = cell
             progress(event="cached", run_id=rid, dataset=spec.name, model=model.name,
                      seed=seed, mode=mode)
 
@@ -263,23 +288,21 @@ def run_matrix(
             for spec, model, seed, mode in pending
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rid in pool.map(_payload_run, payloads):
+            for result in pool.map(_payload_run, payloads):
+                results[result.run_id] = result
                 if progress:
-                    progress(event="done", run_id=rid)
+                    progress(event="done", run_id=result.run_id)
     else:
         for spec, model, seed, mode in pending:
             if progress:
                 progress(event="run", dataset=spec.name, model=model.name, seed=seed, mode=mode)
             result = execute_run(cfg, spec, model, seed, mode)
-            (out / f"{result.run_id}.json").write_text(result.to_json(), encoding="utf-8")
+            _write_run(out, result)
+            results[result.run_id] = result
             if progress:
                 progress(event="done", run_id=result.run_id, mae=result.mae, error=result.error)
 
-    results = []
-    for spec, model, seed, mode in cells:
-        rid = run_id(cfg, spec, model, seed, mode)
-        results.append(RunResult.from_json((out / f"{rid}.json").read_text(encoding="utf-8")))
-    return results
+    return [results[rid] for rid in ids]
 
 
 def _population_std(values: list[float]) -> float:
@@ -296,7 +319,8 @@ def aggregate(results_dir: str | Path, cd_alpha: float = 0.05) -> dict:
 
     Produces per-cell mean/std over seeds (population denominator),
     top-3 win counts, mean basis-win k, average ranks, and (when at least
-    3 models and 2 datasets are complete) the Wilcoxon-Holm grouping.
+    3 models and 3 datasets are complete) the Friedman test and the
+    Wilcoxon-Holm grouping; the signed-rank test needs 3 paired datasets.
     """
     results_dir = Path(results_dir)
     runs = []
@@ -356,7 +380,7 @@ def aggregate(results_dir: str | Path, cd_alpha: float = 0.05) -> dict:
                     top3[f"{m}|{mode}"] += 1
         mean_ranks = np.mean(np.asarray(per_dataset_ranks), axis=0)
         avg_ranks[mode] = {m: float(r) for m, r in zip(models, mean_ranks)}
-        if len(models) >= 3 and len(datasets) >= 2:
+        if len(models) >= 3 and len(datasets) >= 3:
             sm = ScoreMatrix(
                 methods=list(models),
                 datasets=list(datasets),

@@ -15,88 +15,46 @@ Layout:
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    Attention,
-    Decomposition,
-    Family,
-    Head,
-    LossKind,
-    ModelConfig,
-    ModelSize,
-    PosEncoding,
-    Scaler,
-    Tokenization,
-    TrainConfig,
-)
+from .config import ModelConfig, TrainConfig, decode_fields, encode_field
 from .training import TrainedModel
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"SPECBENCH-CKPT1\n"
 
-_CONFIG_ENUMS = {
-    "family": Family,
-    "tokenization": Tokenization,
-    "attention": Attention,
-    "head": Head,
-    "pos_encoding": PosEncoding,
-    "loss": LossKind,
-    "scaler": Scaler,
-    "decomposition": Decomposition,
-    "size": ModelSize,
-}
-_CONFIG_INTS = (
-    "horizon", "context_len", "patch_len", "patch_stride", "ar_order",
-    "mlp_hidden", "mlp_depth", "nbeats_blocks", "nbeats_hidden", "nbeats_depth",
-)
-_TRAIN_FIELDS = (
-    ("lr", float), ("batch_series", int), ("windows_batch", int),
-    ("max_steps", int), ("val_check_every", int), ("patience", int),
-    ("seed", int), ("dropout", float),
-)
+# header key prefix -> the config dataclass whose every field it carries
+_SECTIONS = (("config", ModelConfig), ("train", TrainConfig))
+_HISTORY_LEN = "history.len"
 
 
 def _header_lines(model: TrainedModel) -> str:
-    cfg, tc = model.config, model.train_config
-    items: dict[str, str] = {}
-    for key, enum_cls in _CONFIG_ENUMS.items():
-        items[f"config.{key}"] = getattr(cfg, key).value
-    for key in _CONFIG_INTS:
-        items[f"config.{key}"] = str(getattr(cfg, key))
-    items["config.nhits_pool_rates"] = ",".join(str(r) for r in cfg.nhits_pool_rates)
-    items["config.custom_dims"] = (
-        "none" if cfg.custom_dims is None else ",".join(str(d) for d in cfg.custom_dims)
-    )
-    for key, _ in _TRAIN_FIELDS:
-        items[f"train.{key}"] = repr(getattr(tc, key))
-    items["history.len"] = str(len(model.history))
+    items = {_HISTORY_LEN: str(len(model.history))}
+    for (prefix, _), obj in zip(_SECTIONS, (model.config, model.train_config)):
+        for f in fields(obj):
+            items[f"{prefix}.{f.name}"] = encode_field(getattr(obj, f.name))
     return "".join(f"{k}={items[k]}\n" for k in sorted(items))
 
 
 def _parse_header(text: str) -> tuple[ModelConfig, TrainConfig, int]:
     items = dict(line.split("=", 1) for line in text.splitlines())
-    cfg_kwargs: dict = {}
-    for key, enum_cls in _CONFIG_ENUMS.items():
-        cfg_kwargs[key] = enum_cls(items[f"config.{key}"])
-    for key in _CONFIG_INTS:
-        cfg_kwargs[key] = int(items[f"config.{key}"])
-    cfg_kwargs["nhits_pool_rates"] = tuple(
-        int(r) for r in items["config.nhits_pool_rates"].split(",")
-    )
-    if items["config.custom_dims"] != "none":
-        cfg_kwargs["custom_dims"] = tuple(
-            int(d) for d in items["config.custom_dims"].split(",")
+    expected = {_HISTORY_LEN} | {
+        f"{prefix}.{f.name}" for prefix, cls in _SECTIONS for f in fields(cls)
+    }
+    if items.keys() != expected:
+        raise ValueError(
+            "checkpoint header does not match the config fields: "
+            f"unknown {sorted(items.keys() - expected)}, missing {sorted(expected - items.keys())}"
         )
-    tc_kwargs = {key: cast(items[f"train.{key}"]) for key, cast in _TRAIN_FIELDS}
-    return (
-        ModelConfig(**cfg_kwargs),
-        TrainConfig(**tc_kwargs),
-        int(items["history.len"]),
+    cfg, tc = (
+        cls(**decode_fields(cls, {f.name: items[f"{prefix}.{f.name}"] for f in fields(cls)}))
+        for prefix, cls in _SECTIONS
     )
+    return cfg, tc, int(items[_HISTORY_LEN])
 
 
 def _write_array(fh, arr: np.ndarray) -> None:

@@ -1,7 +1,8 @@
 """Model and training configuration: the ablation axes and their defaults."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from ..errors import PatchTooLong
@@ -19,6 +20,9 @@ __all__ = [
     "SIZE_TABLE",
     "ModelConfig",
     "TrainConfig",
+    "PER_RUN",
+    "encode_field",
+    "decode_fields",
 ]
 
 
@@ -117,6 +121,11 @@ RELATIVE_BUCKETS = 32
 RELATIVE_MAX_DISTANCE = 128
 HUBER_DELTA = 1.0
 
+# ``field`` metadata key marking a field an experiment fills in for each run
+# (the task's horizon, one seed of its seed list) rather than reading it
+# from a config section.
+PER_RUN = "per_run"
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -128,7 +137,7 @@ class ModelConfig:
     """
 
     family: Family
-    horizon: int
+    horizon: int = field(metadata={PER_RUN: True})
     context_len: int = 256
     tokenization: Tokenization = Tokenization.PATCH
     patch_len: int = 96
@@ -198,17 +207,16 @@ class TrainConfig:
     PAPER_MAX_STEPS = 10000
 
     lr: float = 1e-4
-    batch_series: int = 4
     windows_batch: int = 256
     max_steps: int = 2000
     val_check_every: int = 100
     patience: int = 20
-    seed: int = 1
+    seed: int = field(default=1, metadata={PER_RUN: True})
     dropout: float = 0.0
 
     def __post_init__(self):
-        if min(self.lr, self.batch_series, self.windows_batch, self.max_steps) <= 0:
-            raise ValueError("lr, batch sizes, and max_steps must be positive")
+        if min(self.lr, self.windows_batch, self.max_steps) <= 0:
+            raise ValueError("lr, windows_batch, and max_steps must be positive")
         if self.val_check_every <= 0 or self.patience <= 0:
             raise ValueError("val_check_every and patience must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -216,3 +224,57 @@ class TrainConfig:
 
 
 DEFAULT_SEEDS = (1, 5, 10)
+
+
+def encode_field(value) -> str:
+    """Text form of a config field value, as config files, checkpoint
+    headers and run ids write it: an enum as its value, ``None`` as
+    ``none``, a tuple comma-joined, a number or string as ``str`` gives it.
+    """
+    if isinstance(value, Enum):
+        return value.value
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ",".join(encode_field(v) for v in value)
+    return str(value)
+
+
+def decode_fields(cls, items: dict[str, str]) -> dict:
+    """Constructor kwargs for dataclass ``cls`` from ``{field name: text}``,
+    each value read by the field's type hint; the inverse of ``encode_field``.
+
+    Raises ValueError naming the field for an unknown name or a bad value.
+    """
+    names = {f.name for f in fields(cls)}
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, text in items.items():
+        if name not in names:
+            raise ValueError(f"unknown key {name!r}")
+        try:
+            kwargs[name] = _decode(hints[name], text)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return kwargs
+
+
+def _decode(hint, text: str):
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if text == "none":
+            return None
+        (hint,) = (arg for arg in args if arg is not type(None))
+        return _decode(hint, text)
+    if typing.get_origin(hint) is tuple:
+        parts = [part.strip() for part in text.split(",")]
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], part) for part in parts)
+        if len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} comma-separated values, got {text!r}")
+        return tuple(_decode(arg, part) for arg, part in zip(args, parts))
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(text)
+    if hint in (int, float, str):
+        return hint(text)
+    raise TypeError(f"no text form for {hint!r}")

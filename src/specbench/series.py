@@ -49,10 +49,11 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class ForecastTask:
-    """Context length ``l`` and forecast horizon ``h``."""
+    """Context length ``l`` and forecast horizon ``h``; defaults are the
+    benchmark's."""
 
-    context_len: int
-    horizon: int
+    context_len: int = 256
+    horizon: int = 192
 
     def __post_init__(self):
         if self.context_len <= 0:

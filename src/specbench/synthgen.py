@@ -95,7 +95,7 @@ class SyntheticDataset:
     def __post_init__(self):
         if self.train_components is None:
             object.__setattr__(self, "train_components", self.components)
-        if len(self.composed) != len(self.components) != len(self.train_components):
+        if not len(self.composed) == len(self.components) == len(self.train_components):
             raise ValueError("composed/components lists must align")
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -76,4 +78,27 @@ def test_checkpoint_rejects_other_files(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"definitely not a checkpoint")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines + ["train.batch_series=4"],  # unknown key
+        lambda lines: [l for l in lines if not l.startswith("config.patch_len=")],  # missing key
+    ],
+)
+def test_checkpoint_rejects_header_not_matching_config_fields(tmp_path, edit):
+    cfg = ModelConfig(family=Family.NAIVE_LAST, horizon=4, context_len=16)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(fit(cfg, _windows(4, 16, 4), [], TrainConfig()), path)
+    data = path.read_bytes()
+    start = len(b"SPECBENCH-CKPT1\n")
+    (header_len,) = struct.unpack("<I", data[start:start + 4])
+    lines = data[start + 4:start + 4 + header_len].decode("utf-8").splitlines()
+    header = "".join(f"{line}\n" for line in sorted(edit(lines))).encode("utf-8")
+    path.write_bytes(
+        data[:start] + struct.pack("<I", len(header)) + header + data[start + 4 + header_len:]
+    )
+    with pytest.raises(ValueError, match="checkpoint header"):
         load_checkpoint(path)

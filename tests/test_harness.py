@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from specbench.harness import (
     run_matrix,
 )
 from specbench.evaluation import ScoreMatrix, cd_analysis
-from specbench.models import Family, ModelSize, Tokenization
+from specbench.models import Family, ModelConfig, ModelSize, Tokenization, TrainConfig
 
 CFG_TEXT = """
 # tiny experiment
@@ -84,11 +85,38 @@ size = TINY
         "key_without_section = 1\n",
         "[dataset]\nkind = csv\n",  # missing label
         "[task]\ncontext_len = not_a_number\n",
+        "[task]\nk = 3\n",  # second [task] section
+        "[run]\nmax_steps = 5\n",  # second [run] section
+        "[model \"m\"]\nfamily = NLINEAR\nhorizon = 8\n",  # the task sets it
+        "[model \"m\"]\nfamily = MLP\ncustom_dims = 8,16\n",  # needs four values
     ],
 )
 def test_parse_config_rejects_malformed(mutation):
     with pytest.raises(ConfigError):
         parse_config(CFG_TEXT + mutation)
+
+
+def test_parse_config_task_k_applies_regardless_of_section_order():
+    text = """
+[dataset "before"]
+kind = sinusoid
+[dataset "own"]
+kind = sinusoid
+k = 1
+[model "naive"]
+family = NAIVE_LAST
+[task]
+k = 3
+"""
+    cfg = parse_config(text)
+    assert [d.k for d in cfg.datasets] == [3, 1]
+
+
+def test_parse_config_run_keys_are_train_fields():
+    with pytest.raises(ConfigError, match="seed"):  # set per run by seeds
+        parse_config(CFG_TEXT.replace("seeds = 1,5", "seed = 1"))
+    cfg = parse_config(CFG_TEXT.replace("windows_batch = 16", "windows_batch = 16\nlr = 0.01"))
+    assert cfg.train == TrainConfig(lr=0.01, windows_batch=16, max_steps=40, val_check_every=20)
 
 
 def test_load_config_missing_file(tmp_path):
@@ -358,3 +386,74 @@ def test_run_id_stability(tmp_path):
     assert a == b and len(a) == 16
     assert run_id(cfg, spec, model, 5, "ID") != a
     assert run_id(cfg, spec, model, 1, "OOD") != a
+
+
+def test_run_id_hashes_materialized_model_config(tmp_path, monkeypatch):
+    cfg = load_config(_write_cfg(tmp_path))
+    spec, model = cfg.datasets[0], cfg.models[1]
+    base = run_id(cfg, spec, model, 1, "ID")
+    # an override equal to the default is the same run as no override
+    same = dataclasses.replace(model, overrides={"patch_len": 96, "mlp_hidden": 512})
+    assert run_id(cfg, spec, same, 1, "ID") == base
+    assert run_id(cfg, spec, dataclasses.replace(model, overrides={"mlp_hidden": 64}), 1, "ID") != base
+    # a changed default is a new run, so stale run files are not reused
+    mlp_hidden = next(f for f in dataclasses.fields(ModelConfig) if f.name == "mlp_hidden")
+    monkeypatch.setattr(mlp_hidden, "default", 64)
+    assert run_id(cfg, spec, model, 1, "ID") != base
+
+
+def test_run_id_changes_with_every_train_field_but_seed(tmp_path):
+    cfg = load_config(_write_cfg(tmp_path))
+    spec, model = cfg.datasets[0], cfg.models[0]
+    base = run_id(cfg, spec, model, 1, "ID")
+    assert run_id(dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, seed=9)),
+                  spec, model, 1, "ID") == base
+    for f in dataclasses.fields(TrainConfig):
+        if f.name == "seed":
+            continue
+        value = getattr(cfg.train, f.name)
+        changed = dataclasses.replace(cfg.train, **{f.name: value * 2 if value else 0.5})
+        assert run_id(dataclasses.replace(cfg, train=changed), spec, model, 1, "ID") != base, f.name
+
+
+def test_invalid_model_config_becomes_error_runs(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(CFG_TEXT + '\n[model "long_patch"]\nfamily = PATCH_TRANSFORMER\npatch_len = 64\n')
+    results = run_matrix(load_config(path), out_dir=tmp_path / "res")
+    bad = [r for r in results if r.model == "long_patch"]
+    assert len(bad) == 4 and all(r.error.startswith("PatchTooLong") for r in bad)
+    assert all(r.error is None for r in results if r.model != "long_patch")
+    assert len({r.run_id for r in results}) == len(results)
+
+
+def test_truncated_run_file_is_recomputed(tmp_path):
+    cfg = load_config(_write_cfg(tmp_path))
+    out = tmp_path / "results"
+    first = run_matrix(cfg, out_dir=out)
+    victim = out / f"{first[2].run_id}.json"
+    payload = json.loads(victim.read_text())["result"]
+    victim.write_bytes(victim.read_bytes()[:40])  # as left by a killed writer
+    events = []
+    rerun = run_matrix(cfg, out_dir=out, progress=lambda **kw: events.append(kw))
+    recomputed = [e["run_id"] for e in events if e["event"] == "done"]
+    assert recomputed == [first[2].run_id]
+    assert json.loads(victim.read_text())["result"] == payload
+    assert [r.run_id for r in rerun] == [r.run_id for r in first]
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"{r.run_id}.json" for r in first)
+
+
+def test_aggregate_two_datasets_three_models(tmp_path):
+    out = tmp_path / "res"
+    out.mkdir()
+    for d, dataset in enumerate(("d1", "d2")):
+        for m, model in enumerate(("m1", "m2", "m3")):
+            value = 1.0 + m + 0.5 * d
+            rr = RunResult(
+                run_id=f"{dataset}-{model}", dataset=dataset, model=model, seed=1,
+                mode="ID", mae=value, k_max=0.0, threshold_pass=False, n_series=1,
+                per_series_mae=[value], per_series_k_max=[0.0],
+            )
+            (out / f"{dataset}-{model}.json").write_text(rr.to_json())
+    report = aggregate(out)
+    assert report["avg_ranks"]["ID"] == {"m1": 1.0, "m2": 2.0, "m3": 3.0}
+    assert report["cd"] == {}  # the signed-rank test needs three datasets

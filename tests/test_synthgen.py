@@ -14,6 +14,7 @@ from specbench import (
     sorted_components,
 )
 from specbench.errors import ExhaustedParameterSpace
+from specbench.synthgen import SyntheticDataset
 
 
 def test_gen_sinusoid_values():
@@ -116,3 +117,17 @@ def test_trend1_slope_range():
         n = len(parts[1].values)
         slope = parts[1].values[-1] * n / (n - 1)
         assert -32.0 <= slope <= 32.0
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 3), (3, 2, 2)])
+def test_synthetic_dataset_rejects_misaligned_lists(sizes):
+    base = gen_sinusoid_dataset(3, seed=1, length=64)
+    n_composed, n_components, n_train = sizes
+    with pytest.raises(ValueError, match="align"):
+        SyntheticDataset(
+            composed=base.composed[:n_composed],
+            components=base.components[:n_components],
+            variant=base.variant,
+            seed=base.seed,
+            train_components=base.components[:n_train],
+        )
