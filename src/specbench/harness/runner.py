@@ -10,6 +10,7 @@ the matrix.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -237,12 +238,34 @@ def _read_run(path: Path) -> RunResult | None:
         return None
 
 
+try:  # glibc only; elsewhere freed memory is left to the allocator
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (OSError, AttributeError, TypeError):
+    _malloc_trim = None
+
+
+def _release_freed_memory() -> None:
+    """Return the C heap's free pages to the OS between runs.
+
+    glibc keeps freed heap pages resident while a live block sits above
+    them, so what one model's training leaves resident depends on where
+    its last allocations landed, and the next run's peak (the AR least
+    squares design matrix is the largest) stacks on top of it. Trimming
+    after every run makes a matrix's peak memory the same from one
+    invocation to the next.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def _payload_run(args: tuple[str, str, str, str, int, str]) -> RunResult:
     config_path, out_dir, ds_name, model_name, seed, mode = args
     cfg = load_config(config_path)
     spec = next(d for d in cfg.datasets if d.name == ds_name)
     model_spec = next(m for m in cfg.models if m.name == model_name)
     result = execute_run(cfg, spec, model_spec, seed, mode)
+    _release_freed_memory()
     _write_run(Path(out_dir), result)
     return result
 
@@ -297,6 +320,7 @@ def run_matrix(
             if progress:
                 progress(event="run", dataset=spec.name, model=model.name, seed=seed, mode=mode)
             result = execute_run(cfg, spec, model, seed, mode)
+            _release_freed_memory()
             _write_run(out, result)
             results[result.run_id] = result
             if progress:
