@@ -40,9 +40,8 @@ print(f"ID  split: {len(id_split.train)} train windows, {len(id_split.test)} tes
 print(f"OOD split: {len(ood_split.train)} train windows (2 basis series), "
       f"{len(ood_split.test)} test")
 
-same = all(
-    a.anchor == b.anchor and np.array_equal(a.target, b.target)
-    for a, b in zip(id_split.test, ood_split.test)
+same = np.array_equal(id_split.test.anchors, ood_split.test.anchors) and np.array_equal(
+    id_split.test.targets, ood_split.test.targets
 )
 print(f"test windows identical across paradigms: {same}")
 
@@ -52,7 +51,7 @@ basis = compositional_basis(series, 2)
 recon = basis[0].values + basis[1].values
 print(f"max |basis sum - composed| = {np.abs(recon - series.values).max():.2e}")
 
-window = ood_split.test[0]
-bounds = (window.anchor, window.anchor + task.horizon)
-err = np.abs(partial_sum(dec, 2, bounds) - window.target).max()
+anchor, target = ood_split.test.anchors[0], ood_split.test.targets[0]
+bounds = (anchor, anchor + task.horizon)
+err = np.abs(partial_sum(dec, 2, bounds) - target).max()
 print(f"top-2 partial sum matches the test target to {err:.2e}")

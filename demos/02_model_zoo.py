@@ -6,7 +6,9 @@ budgets keep this demo to a couple of minutes.
 """
 import numpy as np
 
-from specbench import ForecastTask, gen_sinusoid_dataset, mae, make_windows, compositional_basis
+from specbench import (
+    ForecastTask, Windows, compositional_basis, gen_sinusoid_dataset, mae, make_windows,
+)
 from specbench.harness.runner import _train_val_windows
 from specbench.models import (
     Family,
@@ -26,9 +28,10 @@ train, val, tests = [], [], []
 for series in dataset.composed:
     for basis in compositional_basis(series, 2):
         tr, va = _train_val_windows(basis, task, T, stride=1)
-        train += tr
-        val += va
-    tests.append(make_windows(series, task, 1, (T - task.context_len, len(series)))[0])
+        train.append(tr)
+        val.append(va)
+    tests.append(make_windows(series, task, 1, (T - task.context_len, len(series))))
+train, val, tests = Windows.concat(train), Windows.concat(val), Windows.concat(tests)
 print(f"{len(train)} basis train windows, {len(tests)} composed test windows")
 
 zoo = {
@@ -46,5 +49,6 @@ for name, (family, axes, train_axes) in zoo.items():
     cfg = ModelConfig(family=family, horizon=task.horizon, context_len=task.context_len, **axes)
     tc = TrainConfig(windows_batch=64, val_check_every=100, seed=1, **train_axes)
     model = fit(cfg, train, val, tc)
-    score = float(np.mean([mae(w.target, predict(model, w.context)) for w in tests]))
+    forecasts = predict(model, tests.contexts)  # one row per test window
+    score = float(np.mean([mae(t, f) for t, f in zip(tests.targets, forecasts)]))
     print(f"{name:15s} {score:9.3f} {count_params(model):9d} {estimate_flops(cfg):10d}")

@@ -14,18 +14,19 @@ task = ForecastTask(context_len=256, horizon=192)
 dataset = gen_sinusoid_dataset(n_series=1, seed=7)
 series = dataset.composed[0]
 T = len(series) - task.horizon
-window = make_windows(series, task, 1, (T - task.context_len, len(series)))[0]
-bounds = (window.anchor, window.anchor + task.horizon)
+windows = make_windows(series, task, 1, (T - task.context_len, len(series)))
+target, anchor = windows.targets[0], windows.anchors[0]
+bounds = (anchor, anchor + task.horizon)
 dec = dft(series.values)
 
 candidates = {
-    "exact forecast": window.target.copy(),
+    "exact forecast": target.copy(),
     "top-1 partial sum": partial_sum(dec, 1, bounds),
     "constant mean": np.full(task.horizon, series.values[:T].mean()),
-    "noisy forecast": window.target + np.random.default_rng(0).normal(size=task.horizon),
+    "noisy forecast": target + np.random.default_rng(0).normal(size=task.horizon),
 }
 
 for name, forecast in candidates.items():
-    report = basis_win_report(window.target, forecast, dec, bounds)
+    report = basis_win_report(target, forecast, dec, bounds)
     mark = "composition evidence" if report.threshold_pass else "below threshold"
     print(f"{name:20s} wins={report.wins}  k_max={report.k_max}  ({mark})")

@@ -11,7 +11,7 @@ budgets).
 """
 import numpy as np
 
-from specbench import ForecastTask, linear_cka, make_windows
+from specbench import ForecastTask, Windows, linear_cka, make_windows
 from specbench.models import Family, ModelConfig, TrainConfig, embed, fit
 from specbench.synthgen import SyntheticVariant, gen_trend_dataset
 
@@ -35,10 +35,12 @@ cfg = ModelConfig(
 )
 tc = TrainConfig(max_steps=150, val_check_every=50, windows_batch=32, seed=1)
 
-contexts = []
-for series in dataset.composed:
-    T = len(series) - task.horizon
-    contexts.append(make_windows(series, task, 1, (T - task.context_len, len(series)))[0].context)
+# each composed series' last context, one row per series
+contexts = np.concatenate([
+    make_windows(series, task, 1, (len(series) - task.horizon - task.context_len,
+                                   len(series))).contexts
+    for series in dataset.composed
+])
 
 embeddings = {}
 for name, groups in variants.items():
@@ -46,10 +48,11 @@ for name, groups in variants.items():
     for parts in groups:
         for part in parts:
             T = len(part) - task.horizon
-            train += make_windows(part, task, 1, (0, T - task.horizon))
-            val += make_windows(part, task, 1, (T - task.horizon - task.context_len, T))
+            train.append(make_windows(part, task, 1, (0, T - task.horizon)))
+            val.append(make_windows(part, task, 1, (T - task.horizon - task.context_len, T)))
+    train, val = Windows.concat(train), Windows.concat(val)
     model = fit(cfg, train, val, tc)
-    embeddings[name] = np.stack([embed(model, c).reshape(-1) for c in contexts])
+    embeddings[name] = embed(model, contexts).reshape(len(contexts), -1)
     print(f"trained {name:13s} on {len(train)} windows")
 
 names = list(variants)

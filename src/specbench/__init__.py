@@ -13,7 +13,7 @@ from .series import (
     SplitDataset,
     SplitMode,
     TimeSeries,
-    WindowPair,
+    Windows,
     make_windows,
     split_traditional,
 )
@@ -72,7 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "TimeSeries", "ForecastTask", "WindowPair", "SplitDataset", "SplitMode",
+    "TimeSeries", "ForecastTask", "Windows", "SplitDataset", "SplitMode",
     "make_windows", "split_traditional",
     "SpectralDecomposition", "BasisComponent", "dft", "reconstruct_full",
     "sorted_components", "top_k_components", "basis_series", "partial_sum",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateInput, ShapeMismatch, TooFewMethods
+from .errors import DegenerateInput, KTooLarge, ShapeMismatch, TooFewMethods
 from .spectral import SpectralDecomposition, basis_series, sorted_components
 
 __all__ = [
@@ -92,17 +92,25 @@ def mae(y: np.ndarray, yhat: np.ndarray) -> float:
     return float(np.mean(np.abs(y - yhat)))
 
 
-def _partial_sum_errors(
-    y: np.ndarray, dec: SpectralDecomposition, bounds: tuple[int, int]
-) -> np.ndarray:
-    """MAE of the cumulative top-k reconstruction against y, for every k."""
-    comps = sorted_components(dec)
-    running = np.zeros_like(np.asarray(y, dtype=np.float64))
-    errors = np.empty(len(comps))
-    for i, comp in enumerate(comps):
+def basis_win_report(
+    y: np.ndarray,
+    yhat: np.ndarray,
+    dec: SpectralDecomposition,
+    bounds: tuple[int, int],
+) -> BasisWinReport:
+    """Basis win at every k: the forecast's MAE against the MAE of the
+    cumulative top-k reconstruction on the same index range."""
+    y = np.asarray(y, dtype=np.float64)
+    score = mae(y, yhat)
+    running = np.zeros_like(y)
+    wins = []
+    for comp in sorted_components(dec):
         running = running + basis_series(comp, dec.n, bounds)
-        errors[i] = np.mean(np.abs(y - running))
-    return errors
+        wins.append(bool(score <= np.mean(np.abs(y - running))))
+    k_max = max((i + 1 for i, w in enumerate(wins) if w), default=0)
+    return BasisWinReport(
+        k_max=k_max, wins=wins, threshold_pass=k_max >= BASIS_WIN_THRESHOLD
+    )
 
 
 def topk_basis_win(
@@ -114,12 +122,10 @@ def topk_basis_win(
 ) -> bool:
     """True iff the forecast error is <= the top-k partial-sum error on
     the same index range."""
-    errors = _partial_sum_errors(y, dec, bounds)
-    if not 1 <= k <= errors.size:
-        from .errors import KTooLarge
-
-        raise KTooLarge(f"k={k} outside 1..{errors.size}")
-    return mae(y, yhat) <= errors[k - 1]
+    wins = basis_win_report(y, yhat, dec, bounds).wins
+    if not 1 <= k <= len(wins):
+        raise KTooLarge(f"k={k} outside 1..{len(wins)}")
+    return wins[k - 1]
 
 
 def topk_max(
@@ -132,25 +138,7 @@ def topk_max(
 
     Partial-sum MAE is not monotone in k, so every k is scanned.
     """
-    errors = _partial_sum_errors(y, dec, bounds)
-    score = mae(y, yhat)
-    winning = np.nonzero(score <= errors)[0]
-    return int(winning[-1] + 1) if winning.size else 0
-
-
-def basis_win_report(
-    y: np.ndarray,
-    yhat: np.ndarray,
-    dec: SpectralDecomposition,
-    bounds: tuple[int, int],
-) -> BasisWinReport:
-    errors = _partial_sum_errors(y, dec, bounds)
-    score = mae(y, yhat)
-    wins = [bool(score <= e) for e in errors]
-    k_max = max((i + 1 for i, w in enumerate(wins) if w), default=0)
-    return BasisWinReport(
-        k_max=k_max, wins=wins, threshold_pass=k_max >= BASIS_WIN_THRESHOLD
-    )
+    return basis_win_report(y, yhat, dec, bounds).k_max
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -24,11 +24,11 @@ from ..models import (
     fit,
 )
 from ..preprocess import load_csv, segment, select_series, write_csv
-from ..series import ForecastTask, TimeSeries, make_windows
+from ..series import ForecastTask, TimeSeries, Windows
 from ..synthgen import SyntheticVariant, gen_sinusoid_dataset, gen_trend_dataset
 from .expconfig import load_config
 from .plotting import plot_forecast
-from .runner import RunResult, aggregate, run_matrix
+from .runner import RunResult, _train_val_windows, aggregate, run_matrix
 
 __all__ = ["main"]
 
@@ -166,23 +166,20 @@ def _cmd_cka(args) -> int:
     tc = TrainConfig(max_steps=args.steps, val_check_every=max(1, args.steps // 4),
                      windows_batch=args.windows_batch, seed=args.seed)
     embeddings: dict[str, np.ndarray] = {}
-    contexts = []
-    for series in dataset.composed:
-        T = len(series) - task.horizon
-        window = make_windows(series, task, bounds=(T - task.context_len, len(series)))[0]
-        contexts.append(window.context)
+    # each composed series' last context: the one before its final horizon
+    h, l = task.horizon, task.context_len
+    contexts = np.stack([s.values[len(s) - h - l : len(s) - h] for s in dataset.composed])
     for name, groups in variants.items():
-        train, val = [], []
-        for parts in groups:
-            for part in parts:
-                T = len(part) - task.horizon
-                train += make_windows(part, task, bounds=(0, T - task.horizon))
-                val += make_windows(
-                    part, task, bounds=(T - task.horizon - task.context_len, T)
-                )
+        splits = [
+            _train_val_windows(part, task, len(part) - h, 1)
+            for parts in groups
+            for part in parts
+        ]
+        train = Windows.concat([tr for tr, _ in splits])
+        val = Windows.concat([va for _, va in splits])
         _emit(event="cka_fit", variant=name, windows=len(train))
         model = fit(cfg, train, val, tc)
-        embeddings[name] = np.stack([embed(model, ctx).reshape(-1) for ctx in contexts])
+        embeddings[name] = embed(model, contexts).reshape(len(contexts), -1)
     names = list(variants)
     matrix = [
         [linear_cka(embeddings[a], embeddings[b]) for b in names] for a in names

@@ -162,6 +162,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     for kind, label, kv in _parse_sections(text):
         if kind in ("task", "run"):
+            if label:
+                raise ConfigError(f"[{kind}] sections take no label, got {label!r}")
             if kind in singles:
                 raise ConfigError(f"duplicate [{kind}] section")
             singles[kind] = kv

@@ -31,10 +31,10 @@ from ..evaluation import (
     cd_analysis,
     mae,
 )
-from ..models import TrainedModel, count_params, estimate_flops, fit, predict
+from ..models import count_params, estimate_flops, fit, predict
 from ..models.config import encode_field
 from ..preprocess import load_csv
-from ..series import ForecastTask, TimeSeries, WindowPair, make_windows
+from ..series import ForecastTask, TimeSeries, Windows, make_windows
 from ..spectral import basis_series, dft, top_k_components
 from ..synthgen import SyntheticVariant, gen_sinusoid_dataset, gen_trend_dataset
 from .expconfig import DatasetSpec, ExperimentConfig, ModelSpec, load_config
@@ -129,7 +129,7 @@ def resolve_dataset(spec: DatasetSpec) -> list[TimeSeries]:
 
 def _train_val_windows(
     series: TimeSeries, task: ForecastTask, split_point: int, stride: int
-) -> tuple[list[WindowPair], list[WindowPair]]:
+) -> tuple[Windows, Windows]:
     """Hold the last horizon-length slice of the train region out as validation."""
     h, l = task.horizon, task.context_len
     train = make_windows(series, task, stride, (0, split_point - h))
@@ -156,57 +156,51 @@ def execute_run(
         task = ForecastTask(model_cfg.context_len, cfg.task.horizon)
         series_list = resolve_dataset(spec)
 
-        train_windows: list[WindowPair] = []
-        val_windows: list[WindowPair] = []
-        per_series_test: list[tuple[TimeSeries, int, list[WindowPair]]] = []
+        train_parts: list[Windows] = []
+        val_parts: list[Windows] = []
+        per_series_test: list[tuple[TimeSeries, Windows]] = []
         decs = {}
         for series in series_list:
             T = cfg.split_point if cfg.split_point is not None else len(series) - task.horizon
             decs[series.id] = dft(series.values)
             if mode == "ID":
-                tr, va = _train_val_windows(series, task, T, cfg.stride)
-                train_windows += tr
-                val_windows += va
+                sources = [series]
             else:
-                comps = top_k_components(decs[series.id], spec.k)
-                for comp in comps:
-                    basis = TimeSeries(
+                sources = [
+                    TimeSeries(
                         id=f"{series.id}/w{comp.freq_index}",
                         values=basis_series(comp, decs[series.id].n, (0, len(series))),
                     )
-                    tr, va = _train_val_windows(basis, task, T, cfg.stride)
-                    train_windows += tr
-                    val_windows += va
+                    for comp in top_k_components(decs[series.id], spec.k)
+                ]
+            for source in sources:
+                tr, va = _train_val_windows(source, task, T, cfg.stride)
+                train_parts.append(tr)
+                val_parts.append(va)
             per_series_test.append(
-                (series, T, make_windows(series, task, cfg.stride, (T - task.context_len, len(series))))
+                (series, make_windows(series, task, cfg.stride, (T - task.context_len, len(series))))
             )
 
         tc = dataclasses.replace(cfg.train, seed=seed)
-        model: TrainedModel = fit(model_cfg, train_windows, val_windows, tc)
+        model = fit(model_cfg, Windows.concat(train_parts), Windows.concat(val_parts), tc)
 
         example: dict = {}
-        for series, T, test_windows in per_series_test:
-            maes, kmaxes = [], []
-            for window in test_windows:
-                forecast = predict(model, window.context)
-                maes.append(mae(window.target, forecast))
-                report = basis_win_report(
-                    window.target,
-                    forecast,
-                    decs[series.id],
-                    (window.anchor, window.anchor + task.horizon),
-                )
-                kmaxes.append(float(report.k_max))
-                if not example:
-                    example = {
-                        "series": series.id,
-                        "anchor": int(window.anchor),
-                        "context": window.context.tolist(),
-                        "target": window.target.tolist(),
-                        "forecast": forecast.tolist(),
-                    }
-            result.per_series_mae.append(float(np.mean(maes)))
-            result.per_series_k_max.append(float(np.mean(kmaxes)))
+        for series, test in per_series_test:
+            forecasts = predict(model, test.contexts)
+            if not example:
+                example = {
+                    "series": series.id,
+                    "anchor": int(test.anchors[0]),
+                    "context": test.contexts[0].tolist(),
+                    "target": test.targets[0].tolist(),
+                    "forecast": forecasts[0].tolist(),
+                }
+            rows = list(zip(test.targets, forecasts, test.anchors))
+            result.per_series_mae.append(float(np.mean([mae(y, yhat) for y, yhat, _ in rows])))
+            result.per_series_k_max.append(float(np.mean([
+                basis_win_report(y, yhat, decs[series.id], (a, a + task.horizon)).k_max
+                for y, yhat, a in rows
+            ])))
 
         result.n_series = len(series_list)
         result.mae = float(np.mean(result.per_series_mae))
@@ -350,7 +344,9 @@ def aggregate(results_dir: str | Path, cd_alpha: float = 0.05) -> dict:
     runs = []
     errors = []
     for path in sorted(results_dir.glob("*.json")):
-        run = RunResult.from_json(path.read_text(encoding="utf-8"))
+        run = _read_run(path)
+        if run is None:
+            raise SpecbenchError(f"run file {path} is unreadable")
         if run.error is not None:
             errors.append({"run_id": run.run_id, "dataset": run.dataset,
                            "model": run.model, "seed": run.seed, "mode": run.mode,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptyTrainSet
-from ..series import WindowPair
+from ..series import Windows
 from ..spectral import dft, sorted_components
 from .config import Family, ModelConfig
 
@@ -28,11 +28,12 @@ _MAX_FIT_WINDOWS = 64
 _MAX_AR_ROWS = 200_000
 
 
-def _sequences(train: list[WindowPair], cap: int = _MAX_FIT_WINDOWS) -> np.ndarray:
+def _sequences(train: Windows, cap: int = _MAX_FIT_WINDOWS) -> np.ndarray:
+    """Up to ``cap`` evenly spaced windows, each as one context+target row."""
     if not train:
         raise EmptyTrainSet("statistical fit needs at least one window")
     idx = np.unique(np.linspace(0, len(train) - 1, min(cap, len(train))).astype(int))
-    return np.stack([np.concatenate([train[i].context, train[i].target]) for i in idx])
+    return np.concatenate([train.contexts[idx], train.targets[idx]], axis=1)
 
 
 def dominant_period(context: np.ndarray) -> int:
@@ -73,21 +74,22 @@ def _holt_sweep(seqs: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.n
     return err / (W * (L - 2))
 
 
-def _fit_ar(train: list[WindowPair], order: int) -> np.ndarray:
-    seq_len = train[0].context.size + train[0].target.size
+def _fit_ar(train: Windows, order: int) -> np.ndarray:
+    seq_len = train.contexts.shape[1] + train.targets.shape[1]
     cap = max(1, _MAX_AR_ROWS // max(1, seq_len - order))
     seqs = _sequences(train, cap=cap)
-    rows, targets = [], []
-    for seq in seqs:
-        for t in range(order, seq.size):
-            rows.append(seq[t - order : t][::-1])
-            targets.append(seq[t])
-    X = np.column_stack([np.asarray(rows), np.ones(len(rows))])
-    beta, *_ = np.linalg.lstsq(X, np.asarray(targets), rcond=None)
+    # row (w, t - order) of the design: seqs[w, t-order:t] reversed, then 1
+    count, length = seqs.shape
+    steps = length - order
+    X = np.empty((count * steps, order + 1))
+    lags = np.lib.stride_tricks.sliding_window_view(seqs, order, axis=1)[:, :steps, ::-1]
+    X.reshape(count, steps, order + 1)[:, :, :order] = lags
+    X[:, order] = 1.0
+    beta, *_ = np.linalg.lstsq(X, seqs[:, order:].reshape(-1), rcond=None)
     return beta  # (order lags, most recent first) then intercept
 
 
-def fit_statistical(config: ModelConfig, train: list[WindowPair]) -> dict[str, np.ndarray]:
+def fit_statistical(config: ModelConfig, train: Windows) -> dict[str, np.ndarray]:
     family = config.family
     if family in (Family.NAIVE_LAST, Family.SEASONAL_NAIVE):
         return {}

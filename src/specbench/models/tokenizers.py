@@ -11,6 +11,7 @@ import numpy as np
 
 from ..errors import PatchTooLong
 from .config import (
+    Attention,
     BINNING_BINS,
     BINNING_CLIP,
     ModelConfig,
@@ -154,8 +155,6 @@ def positional_bias(kind: PosEncoding, n_tokens: int, cfg: ModelConfig) -> dict:
     if kind in (PosEncoding.SINCOS, PosEncoding.SINCOS_PLUS_RELATIVE):
         out["sincos"] = sincos_table(n_tokens, cfg.hidden)
     if kind in (PosEncoding.RELATIVE, PosEncoding.SINCOS_PLUS_RELATIVE):
-        from .config import Attention
-
         out["rel_buckets"] = relative_buckets(
             n_tokens, bidirectional=cfg.attention is Attention.BIDIRECTIONAL
         )

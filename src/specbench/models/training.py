@@ -20,7 +20,7 @@ from ..errors import (
     UnsupportedFamily,
 )
 from ..optim import AdamState, adam_step, rng_stream
-from ..series import WindowPair
+from ..series import Windows
 from .config import Family, LossKind, ModelConfig, TrainConfig
 from .losses import huber_loss, mae_loss, mse_loss, student_t_nll
 from .networks import build_network
@@ -53,19 +53,11 @@ class TrainedModel:
         return self._network
 
 
-def _window_matrices(windows: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
-    contexts = np.stack([w.context for w in windows])
-    targets = np.stack([w.target for w in windows])
-    return contexts, targets
-
-
-def _check_shapes(cfg: ModelConfig, windows: list[WindowPair], label: str) -> None:
-    for w in windows:
-        if w.context.size != cfg.context_len or w.target.size != cfg.horizon:
-            raise ValueError(
-                f"{label} window shapes ({w.context.size}, {w.target.size}) do not "
-                f"match config ({cfg.context_len}, {cfg.horizon})"
-            )
+def _check_shapes(cfg: ModelConfig, windows: Windows, label: str) -> None:
+    shape = (windows.contexts.shape[1], windows.targets.shape[1])
+    if shape != (cfg.context_len, cfg.horizon):
+        raise ValueError(f"{label} window shapes {shape} do not match config "
+                         f"({cfg.context_len}, {cfg.horizon})")
 
 
 def _graph_loss(kind: LossKind, target_scaled: np.ndarray, prediction) -> Tensor:
@@ -91,15 +83,19 @@ def _batch_loss(net, cfg, contexts, targets, train_rng=None, dropout=0.0) -> Ten
 
 def fit(
     config: ModelConfig,
-    train: list[WindowPair],
-    valid: list[WindowPair],
+    train: Windows,
+    valid: Windows | None,
     tc: TrainConfig,
 ) -> TrainedModel:
-    """Fit one model; see the module docstring for the training protocol."""
+    """Fit one model; see the module docstring for the training protocol.
+
+    Without validation windows, the training loss stands in for it.
+    """
     if not train:
         raise EmptyTrainSet("fit() needs at least one training window")
     _check_shapes(config, train, "train")
-    _check_shapes(config, valid, "valid")
+    if valid:
+        _check_shapes(config, valid, "valid")
 
     if config.is_statistical:
         extra = fit_statistical(config, train)
@@ -109,11 +105,9 @@ def fit(
     batch_rng = rng_stream(tc.seed, "batches")
     dropout_rng = rng_stream(tc.seed, "dropout")
     state = AdamState()
-    contexts, targets = _window_matrices(train)
-    val_matrices = _window_matrices(valid) if valid else None
 
     def validation_loss() -> float:
-        loss = _batch_loss(net, config, *val_matrices)
+        loss = _batch_loss(net, config, valid.contexts, valid.targets)
         return loss.data.item()
 
     names = sorted(net.params)
@@ -128,7 +122,7 @@ def fit(
         tape = Tape()
         with recording(tape):
             loss = _batch_loss(
-                net, config, contexts[idx], targets[idx],
+                net, config, train.contexts[idx], train.targets[idx],
                 train_rng=dropout_rng, dropout=tc.dropout,
             )
         train_loss = loss.data.item()
@@ -140,7 +134,7 @@ def fit(
         adam_step(net.params, grads, state, lr=tc.lr)
 
         if step % tc.val_check_every == 0 or step == tc.max_steps:
-            val_loss = validation_loss() if val_matrices else train_loss
+            val_loss = validation_loss() if valid else train_loss
             if not np.isfinite(val_loss):
                 raise DivergedLoss(
                     f"{config.family.value} step {step}: non-finite validation loss"
@@ -165,58 +159,59 @@ def fit(
     )
 
 
-def _scaled_forward(model: TrainedModel, context: np.ndarray):
-    state = fit_scaler(model.config.scaler, context)
-    scaled = apply_scaler(state, context)[None, :]
-    return model.network().forward(scaled), state
+def _as_rows(model: TrainedModel, context: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``context`` as (n, l) rows, and whether it was a single (l,) context."""
+    context = np.asarray(context, dtype=np.float64)
+    l = model.config.context_len
+    if context.ndim not in (1, 2) or context.shape[-1] != l:
+        raise BadContextLength(f"context has shape {context.shape}, expected ({l},) or (n, {l})")
+    return np.atleast_2d(context), context.ndim == 1
+
+
+def _scaled(model: TrainedModel, rows: np.ndarray):
+    state = fit_scaler(model.config.scaler, rows)
+    return apply_scaler(state, rows), state
 
 
 def predict(model: TrainedModel, context: np.ndarray) -> np.ndarray:
-    """Forecast ``horizon`` steps in the original units of the context."""
-    context = np.asarray(context, dtype=np.float64)
-    if context.ndim != 1 or context.size != model.config.context_len:
-        raise BadContextLength(
-            f"context has length {context.size}, expected {model.config.context_len}"
-        )
+    """Forecast ``horizon`` steps in the original units of the context:
+    (h,) for one context (l,), (n, h) for n contexts (n, l)."""
+    rows, single = _as_rows(model, context)
     if model.config.is_statistical:
-        return predict_statistical(model.config, model.extra, context)
-    out, state = _scaled_forward(model, context)
-    if model.config.loss is LossKind.STUDENT_T:
-        mu = out[0]
-        return invert_scaler(state, mu.data[0])
-    return invert_scaler(state, out.data[0])
+        out = np.stack([predict_statistical(model.config, model.extra, row) for row in rows])
+    else:
+        scaled, state = _scaled(model, rows)
+        out = model.network().forward(scaled)
+        if model.config.loss is LossKind.STUDENT_T:
+            out = out[0]
+        out = invert_scaler(state, out.data)
+    return out[0] if single else out
 
 
 def predict_quantiles(
     model: TrainedModel, context: np.ndarray, qs: tuple[float, ...] = (0.8, 0.9)
 ) -> dict[float, np.ndarray]:
-    """Quantile forecasts from the Student-t head (emitted, never scored)."""
+    """Quantile forecasts from the Student-t head (emitted, never scored),
+    shaped as :func:`predict` shapes its forecasts."""
     if model.config.loss is not LossKind.STUDENT_T:
         raise UnsupportedFamily("quantiles require the STUDENT_T loss head")
     from scipy import stats
 
-    context = np.asarray(context, dtype=np.float64)
-    if context.size != model.config.context_len:
-        raise BadContextLength(
-            f"context has length {context.size}, expected {model.config.context_len}"
-        )
-    (mu, sigma, nu), state = _scaled_forward(model, context)
+    rows, single = _as_rows(model, context)
+    scaled, state = _scaled(model, rows)
+    mu, sigma, nu = model.network().forward(scaled)
     out = {}
     for q in qs:
-        scaled_q = mu.data[0] + sigma.data[0] * stats.t.ppf(q, df=nu.data[0])
-        out[q] = invert_scaler(state, scaled_q)
+        quantile = invert_scaler(state, mu.data + sigma.data * stats.t.ppf(q, df=nu.data))
+        out[q] = quantile[0] if single else quantile
     return out
 
 
 def embed(model: TrainedModel, context: np.ndarray) -> np.ndarray:
-    """Final encoder activations (tokens, hidden) for one context."""
+    """Final encoder activations: (tokens, hidden) for one context (l,),
+    (n, tokens, hidden) for n contexts (n, l)."""
     if model.config.family is not Family.PATCH_TRANSFORMER:
         raise UnsupportedFamily("embeddings are defined for PATCH_TRANSFORMER only")
-    context = np.asarray(context, dtype=np.float64)
-    if context.size != model.config.context_len:
-        raise BadContextLength(
-            f"context has length {context.size}, expected {model.config.context_len}"
-        )
-    state = fit_scaler(model.config.scaler, context)
-    scaled = apply_scaler(state, context)[None, :]
-    return model.network().encode(scaled).data[0]
+    rows, single = _as_rows(model, context)
+    out = model.network().encode(_scaled(model, rows)[0]).data
+    return out[0] if single else out

@@ -42,7 +42,7 @@ from .config import (
     Tokenization,
 )
 from .networks import moving_average_split
-from .tokenizers import relative_buckets, rope_tables, sincos_table, token_count, token_dim, tokenize
+from .tokenizers import positional_bias, token_count, token_dim, tokenize
 
 _MASK_VALUE = -1e30
 
@@ -100,17 +100,10 @@ class PatchTransformer:
 
         # constant positional machinery
         T = self.n_tokens
-        self._sincos = (
-            sincos_table(T, H)
-            if cfg.pos_encoding in (PosEncoding.SINCOS, PosEncoding.SINCOS_PLUS_RELATIVE)
-            else None
-        )
-        self._buckets = (
-            relative_buckets(T, bidirectional=cfg.attention is Attention.BIDIRECTIONAL)
-            if cfg.pos_encoding in (PosEncoding.RELATIVE, PosEncoding.SINCOS_PLUS_RELATIVE)
-            else None
-        )
-        self._rope = rope_tables(T, self.head_dim) if cfg.pos_encoding is PosEncoding.ROPE else None
+        positional = positional_bias(cfg.pos_encoding, T, cfg)
+        self._sincos = positional.get("sincos")
+        self._buckets = positional.get("rel_buckets")
+        self._rope = positional.get("rope")
         self._causal_mask = (
             np.triu(np.full((T, T), _MASK_VALUE), k=1)
             if cfg.attention is Attention.CAUSAL

@@ -7,7 +7,7 @@ test window at ``t >= T``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,7 +17,7 @@ from .errors import RangeTooShort
 __all__ = [
     "TimeSeries",
     "ForecastTask",
-    "WindowPair",
+    "Windows",
     "SplitMode",
     "SplitDataset",
     "make_windows",
@@ -63,18 +63,36 @@ class ForecastTask:
 
 
 @dataclass(frozen=True)
-class WindowPair:
-    """One supervised example: context before the anchor, target after it."""
+class Windows:
+    """Supervised examples as rows: ``contexts[i]`` ends at ``anchors[i]``
+    and ``targets[i]`` starts there. Shapes (n, l), (n, h) and (n,)."""
 
-    context: np.ndarray
-    target: np.ndarray
-    anchor: int
+    contexts: np.ndarray
+    targets: np.ndarray
+    anchors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "context", np.asarray(self.context, dtype=np.float64))
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=np.float64))
-        if not (np.all(np.isfinite(self.context)) and np.all(np.isfinite(self.target))):
-            raise ValueError("WindowPair values must be finite")
+        for name, dtype in (("contexts", float), ("targets", float), ("anchors", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        contexts, targets, anchors = self.contexts, self.targets, self.anchors
+        if not (contexts.ndim == targets.ndim == 2 and anchors.ndim == 1
+                and len(contexts) == len(targets) == len(anchors)):
+            shapes = f"{contexts.shape}, {targets.shape}, {anchors.shape}"
+            raise ValueError(f"Windows shapes {shapes} are not (n, l), (n, h), (n,)")
+        if not (np.isfinite(contexts).all() and np.isfinite(targets).all()):
+            raise ValueError("Windows values must be finite")
+
+    def __len__(self) -> int:
+        return self.anchors.size
+
+    @staticmethod
+    def concat(parts: list[Windows]) -> Windows:
+        """One window set holding the rows of ``parts`` in order."""
+        return Windows(
+            np.concatenate([w.contexts for w in parts]),
+            np.concatenate([w.targets for w in parts]),
+            np.concatenate([w.anchors for w in parts]),
+        )
 
 
 class SplitMode(Enum):
@@ -86,8 +104,8 @@ class SplitMode(Enum):
 class SplitDataset:
     """Train/test window sets for one series under one paradigm."""
 
-    train: list[WindowPair]
-    test: list[WindowPair]
+    train: Windows
+    test: Windows
     mode: SplitMode
 
     def __post_init__(self):
@@ -100,7 +118,7 @@ def make_windows(
     task: ForecastTask,
     stride: int = 1,
     bounds: tuple[int, int] | None = None,
-) -> list[WindowPair]:
+) -> Windows:
     """Slide (context, target) windows over ``series.values[lo:hi]``.
 
     Anchors run ``lo + l, lo + l + stride, ...`` subject to ``t + h <= hi``,
@@ -122,11 +140,8 @@ def make_windows(
         raise RangeTooShort(
             f"range [{lo}, {hi}) holds {hi - lo} samples; need at least l+h = {l + h}"
         )
-    values = series.values
-    windows = []
-    for t in range(lo + l, hi - h + 1, stride):
-        windows.append(WindowPair(values[t - l : t], values[t : t + h], t))
-    return windows
+    rows = np.lib.stride_tricks.sliding_window_view(series.values[lo:hi], l + h)[::stride]
+    return Windows(rows[:, :l], rows[:, l:], np.arange(lo + l, hi - h + 1, stride))
 
 
 def split_traditional(

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KTooLarge, NonFinite
-from .series import ForecastTask, SplitDataset, SplitMode, TimeSeries, make_windows, split_traditional
+from .series import (
+    ForecastTask, SplitDataset, SplitMode, TimeSeries, Windows, make_windows, split_traditional,
+)
 
 __all__ = [
     "SpectralDecomposition",
@@ -211,7 +213,8 @@ def build_compositional_split(
     side of :func:`split_traditional`.
     """
     traditional = split_traditional(series, task, split_point, stride)
-    train: list = []
-    for basis in compositional_basis(series, k):
-        train.extend(make_windows(basis, task, stride, (0, split_point)))
+    train = Windows.concat([
+        make_windows(basis, task, stride, (0, split_point))
+        for basis in compositional_basis(series, k)
+    ])
     return SplitDataset(train=train, test=traditional.test, mode=SplitMode.OOD_COMPOSITIONAL)

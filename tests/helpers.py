@@ -1,9 +1,22 @@
-"""Shared test utilities: naive oracles and finite-difference gradient checks."""
+"""Shared test utilities: window-set builders, naive oracles and
+finite-difference gradient checks."""
 from __future__ import annotations
 
 import numpy as np
 
 from specbench.autodiff import Tape, Tensor, backward, recording
+from specbench.series import Windows
+
+
+def stack_windows(rows) -> Windows:
+    """A window set from a list of (context, target, anchor) rows."""
+    contexts, targets, anchors = zip(*rows)
+    return Windows(np.stack(contexts), np.stack(targets), np.asarray(anchors))
+
+
+def take(windows: Windows, rows) -> Windows:
+    """The window set's ``rows`` (a slice or an index array)."""
+    return Windows(windows.contexts[rows], windows.targets[rows], windows.anchors[rows])
 
 
 def naive_dft(values: np.ndarray) -> np.ndarray:

@@ -50,8 +50,9 @@ from specbench.models.networks import build_network
 from specbench.optim import rng_stream
 from specbench.preprocess import ACF_LAGS, ADF_ALPHA, PATCH_LEN, PATCH_STRIDE, adf_test
 from specbench.harness.runner import _train_val_windows
+from specbench.series import Windows
 
-from helpers import fd_gradcheck, kink_margin, kink_safe_targets
+from helpers import fd_gradcheck, kink_margin, kink_safe_targets, take
 
 SYNTH_TASK = ForecastTask(context_len=256, horizon=192)
 SPLIT_POINT = 1008
@@ -103,9 +104,9 @@ def test_criterion_2_compositional_split_exactness():
 
         split = build_compositional_split(series, SYNTH_TASK, 2, SPLIT_POINT)
         dec = dft(series.values)
-        for window in split.test:
-            bounds = (window.anchor, window.anchor + SYNTH_TASK.horizon)
-            assert np.abs(partial_sum(dec, 2, bounds) - window.target).max() < 1e-6
+        for anchor, target in zip(split.test.anchors, split.test.targets):
+            bounds = (anchor, anchor + SYNTH_TASK.horizon)
+            assert np.abs(partial_sum(dec, 2, bounds) - target).max() < 1e-6
     assert within(), "criterion 2 exceeded its 10 s budget"
 
 
@@ -117,12 +118,13 @@ def test_criterion_3_metric_fidelity():
     dataset = gen_sinusoid_dataset(seed=1)
     for series in dataset.composed:
         dec = dft(series.values)
-        window = make_windows(series, SYNTH_TASK, 1, (SPLIT_POINT - 256, len(series)))[0]
-        bounds = (window.anchor, window.anchor + SYNTH_TASK.horizon)
+        windows = make_windows(series, SYNTH_TASK, 1, (SPLIT_POINT - 256, len(series)))
+        target, anchor = windows.targets[0], windows.anchors[0]
+        bounds = (anchor, anchor + SYNTH_TASK.horizon)
         for k in (1, 2):
             yhat = partial_sum(dec, k, bounds)
-            assert topk_basis_win(window.target, yhat, dec, k, bounds)
-        report = basis_win_report(window.target, window.target, dec, bounds)
+            assert topk_basis_win(target, yhat, dec, k, bounds)
+        report = basis_win_report(target, target, dec, bounds)
         assert report.k_max == 2
     assert within(), "criterion 3 exceeded its 5 s budget"
 
@@ -229,13 +231,14 @@ def test_criterion_6_training_smoke():
     for series in dataset.composed:
         for basis in compositional_basis(series, 2):
             tr, va = _train_val_windows(basis, SYNTH_TASK, SPLIT_POINT, 1)
-            train += tr
-            val += va
+            train.append(tr)
+            val.append(va)
         tests.append(
-            make_windows(series, SYNTH_TASK, 1, (SPLIT_POINT - 256, len(series)))[0]
+            take(make_windows(series, SYNTH_TASK, 1, (SPLIT_POINT - 256, len(series))), [0])
         )
+    train, val, tests = Windows.concat(train), Windows.concat(val), Windows.concat(tests)
     naive_mae = float(
-        np.mean([np.abs(w.target - w.context[-1]).mean() for w in tests])
+        np.mean([np.abs(t - c[-1]).mean() for c, t in zip(tests.contexts, tests.targets)])
     )
 
     budgets = {
@@ -250,7 +253,7 @@ def test_criterion_6_training_smoke():
             assert tc.max_steps <= 2000
             model = fit(cfg, train, val, tc)
             ood_mae = float(
-                np.mean([mae(w.target, predict(model, w.context)) for w in tests])
+                np.mean([mae(t, f) for t, f in zip(tests.targets, predict(model, tests.contexts))])
             )
             assert ood_mae < naive_mae, (
                 f"{family.value} seed {seed}: {ood_mae:.3f} !< naive {naive_mae:.3f}"

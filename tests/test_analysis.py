@@ -11,20 +11,21 @@ from specbench.models import (
 )
 from specbench.models.networks import build_network
 from specbench.optim import rng_stream
-from specbench.series import WindowPair
+
+from helpers import stack_windows
 
 
 def _windows(count, l, h, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        WindowPair(rng.normal(size=l), rng.normal(size=h), l) for _ in range(count)
-    ]
+    return stack_windows(
+        [(rng.normal(size=l), rng.normal(size=h), l) for _ in range(count)]
+    )
 
 
 def test_nlinear_params_match_plain_linear():
     l, h = 32, 8
     cfg = ModelConfig(family=Family.NLINEAR, horizon=h, context_len=l)
-    model = fit(cfg, _windows(8, l, h), [], TrainConfig(max_steps=2, windows_batch=4))
+    model = fit(cfg, _windows(8, l, h), None, TrainConfig(max_steps=2, windows_batch=4))
     # the shift-and-restore trick adds no parameters over one linear map
     assert count_params(model) == l * h + h
 
@@ -67,5 +68,5 @@ def test_flops_scale_with_transformer_size():
 def test_param_count_counts_statistical_state():
     l, h = 32, 4
     cfg = ModelConfig(family=Family.AR_LS, horizon=h, context_len=l, ar_order=6)
-    model = fit(cfg, _windows(10, l, h, seed=3), [], TrainConfig(max_steps=2))
+    model = fit(cfg, _windows(10, l, h, seed=3), None, TrainConfig(max_steps=2))
     assert count_params(model) == 7  # 6 lag weights + intercept

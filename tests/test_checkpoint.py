@@ -14,7 +14,8 @@ from specbench.models import (
     predict,
     save_checkpoint,
 )
-from specbench.series import WindowPair
+
+from helpers import stack_windows, take
 
 
 def _windows(count, l, h, seed=0):
@@ -22,8 +23,8 @@ def _windows(count, l, h, seed=0):
     out = []
     for _ in range(count):
         seq = np.sin(np.linspace(0, 6, l + h)) + rng.normal(size=l + h) * 0.1
-        out.append(WindowPair(seq[:l], seq[l:], l))
-    return out
+        out.append((seq[:l], seq[l:], l))
+    return stack_windows(out)
 
 
 def test_neural_checkpoint_bit_exact_roundtrip(tmp_path):
@@ -33,7 +34,7 @@ def test_neural_checkpoint_bit_exact_roundtrip(tmp_path):
         patch_len=8, patch_stride=4, custom_dims=(8, 16, 1, 2),
         loss=LossKind.HUBER,
     )
-    model = fit(cfg, train, train[:2], TrainConfig(max_steps=8, val_check_every=4, windows_batch=4, seed=2))
+    model = fit(cfg, train, take(train, np.s_[:2]), TrainConfig(max_steps=8, val_check_every=4, windows_batch=4, seed=2))
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -45,7 +46,7 @@ def test_neural_checkpoint_bit_exact_roundtrip(tmp_path):
     for name in model.params:
         np.testing.assert_array_equal(loaded.params[name], model.params[name])
 
-    ctx = train[0].context
+    ctx = train.contexts[0]
     np.testing.assert_array_equal(predict(loaded, ctx), predict(model, ctx))
     np.testing.assert_array_equal(embed(loaded, ctx), embed(model, ctx))
 
@@ -53,14 +54,14 @@ def test_neural_checkpoint_bit_exact_roundtrip(tmp_path):
 def test_statistical_checkpoint_roundtrip(tmp_path):
     train = _windows(10, 16, 4, seed=3)
     cfg = ModelConfig(family=Family.HOLT, horizon=4, context_len=16)
-    model = fit(cfg, train, [], TrainConfig(max_steps=1))
+    model = fit(cfg, train, None, TrainConfig(max_steps=1))
     path = tmp_path / "holt.ckpt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.extra.keys() == model.extra.keys()
     for name in model.extra:
         np.testing.assert_array_equal(loaded.extra[name], model.extra[name])
-    ctx = train[0].context
+    ctx = train.contexts[0]
     np.testing.assert_array_equal(predict(loaded, ctx), predict(model, ctx))
 
 
@@ -69,8 +70,8 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     cfg = ModelConfig(family=Family.NLINEAR, horizon=4, context_len=16)
     tc = TrainConfig(max_steps=6, val_check_every=3, windows_batch=4, seed=9)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(fit(cfg, train, train[:2], tc), p1)
-    save_checkpoint(fit(cfg, train, train[:2], tc), p2)
+    save_checkpoint(fit(cfg, train, take(train, np.s_[:2]), tc), p1)
+    save_checkpoint(fit(cfg, train, take(train, np.s_[:2]), tc), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -91,7 +92,7 @@ def test_checkpoint_rejects_other_files(tmp_path):
 def test_checkpoint_rejects_header_not_matching_config_fields(tmp_path, edit):
     cfg = ModelConfig(family=Family.NAIVE_LAST, horizon=4, context_len=16)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(fit(cfg, _windows(4, 16, 4), [], TrainConfig()), path)
+    save_checkpoint(fit(cfg, _windows(4, 16, 4), None, TrainConfig()), path)
     data = path.read_bytes()
     start = len(b"SPECBENCH-CKPT1\n")
     (header_len,) = struct.unpack("<I", data[start:start + 4])

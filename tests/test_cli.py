@@ -95,6 +95,18 @@ def test_run_eval_plot_pipeline(tmp_path, capsys):
     assert "event=run_done" in stdout and "event=eval_done" in stdout
 
 
+def test_eval_names_an_unreadable_run_file(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CFG)
+    results = tmp_path / "results"
+    assert main(["run", "--config", str(cfg_path), "--out", str(results)]) == 0
+    broken = sorted(results.glob("*.json"))[0]
+    broken.write_text(broken.read_text()[:40])
+    capsys.readouterr()
+    assert main(["eval", "--results", str(results), "--report", str(tmp_path / "r.json")]) == 1
+    assert broken.name in capsys.readouterr().err
+
+
 def test_prep_selects_segments(tmp_path):
     rng = np.random.default_rng(5)
     rows = ["unique_id,ds,y"]

@@ -96,6 +96,13 @@ def test_parse_config_rejects_malformed(mutation):
         parse_config(CFG_TEXT + mutation)
 
 
+@pytest.mark.parametrize("section", ["task", "run"])
+def test_parse_config_rejects_labelled_task_and_run(section):
+    # a rewrite, not an append: CFG_TEXT already holds both sections
+    with pytest.raises(ConfigError, match="label"):
+        parse_config(CFG_TEXT.replace(f"[{section}]", f'[{section} "x"]'))
+
+
 def test_parse_config_task_k_applies_regardless_of_section_order():
     text = """
 [dataset "before"]

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specbench import ForecastTask, TimeSeries, make_windows, split_traditional
+from specbench import (
+    ForecastTask, TimeSeries, build_compositional_split, make_windows, split_traditional,
+)
 from specbench.errors import RangeTooShort
+
+from helpers import take
 
 
 def series(values, sid="s"):
@@ -12,11 +17,11 @@ def series(values, sid="s"):
 def test_make_windows_hand_enumeration():
     pairs = make_windows(series([1, 2, 3, 4, 5]), ForecastTask(2, 1), stride=1)
     assert len(pairs) == 3
-    assert [p.anchor for p in pairs] == [2, 3, 4]
-    np.testing.assert_array_equal(pairs[0].context, [1, 2])
-    np.testing.assert_array_equal(pairs[0].target, [3])
-    np.testing.assert_array_equal(pairs[2].context, [3, 4])
-    np.testing.assert_array_equal(pairs[2].target, [5])
+    assert pairs.anchors.tolist() == [2, 3, 4]
+    np.testing.assert_array_equal(pairs.contexts[0], [1, 2])
+    np.testing.assert_array_equal(pairs.targets[0], [3])
+    np.testing.assert_array_equal(pairs.contexts[2], [3, 4])
+    np.testing.assert_array_equal(pairs.targets[2], [5])
 
 
 def test_make_windows_range_too_short():
@@ -27,7 +32,7 @@ def test_make_windows_range_too_short():
 def test_make_windows_stride_and_count_formula():
     pairs = make_windows(series(range(7)), ForecastTask(2, 1), stride=2)
     # count = floor((7 - 2 - 1) / 2) + 1 = 3
-    assert [p.anchor for p in pairs] == [2, 4, 6]
+    assert pairs.anchors.tolist() == [2, 4, 6]
 
     for stride in (1, 2, 3, 5):
         pairs = make_windows(series(range(40)), ForecastTask(6, 3), stride=stride)
@@ -40,30 +45,30 @@ def test_stride_equals_subsampled_stride_one():
     dense = make_windows(ts, task, stride=1)
     for s in (2, 3, 4):
         strided = make_windows(ts, task, stride=s)
-        subsampled = dense[::s]
+        subsampled = take(dense, np.s_[::s])
         assert len(strided) == len(subsampled)
-        for a, b in zip(strided, subsampled):
-            assert a.anchor == b.anchor
-            np.testing.assert_array_equal(a.context, b.context)
-            np.testing.assert_array_equal(a.target, b.target)
+        np.testing.assert_array_equal(strided.anchors, subsampled.anchors)
+        np.testing.assert_array_equal(strided.contexts, subsampled.contexts)
+        np.testing.assert_array_equal(strided.targets, subsampled.targets)
 
 
 def test_windows_are_exact_slices():
     values = np.random.default_rng(2).normal(size=30)
     ts = series(values)
-    for pair in make_windows(ts, ForecastTask(4, 3)):
-        np.testing.assert_array_equal(pair.context, values[pair.anchor - 4 : pair.anchor])
-        np.testing.assert_array_equal(pair.target, values[pair.anchor : pair.anchor + 3])
+    windows = make_windows(ts, ForecastTask(4, 3))
+    for context, target, anchor in zip(windows.contexts, windows.targets, windows.anchors):
+        np.testing.assert_array_equal(context, values[anchor - 4 : anchor])
+        np.testing.assert_array_equal(target, values[anchor : anchor + 3])
 
 
 def test_split_traditional_paper_shape():
     ts = series(np.random.default_rng(3).normal(size=1200))
     task = ForecastTask(256, 192)
     split = split_traditional(ts, task, split_point=1008)
-    assert all(p.anchor + task.horizon <= 1008 for p in split.train)
-    assert all(p.anchor >= 1008 for p in split.test)
+    assert all(a + task.horizon <= 1008 for a in split.train.anchors)
+    assert all(a >= 1008 for a in split.test.anchors)
     # contexts of the first test window end exactly at the split point
-    assert split.test[0].anchor == 1008
+    assert split.test.anchors[0] == 1008
     assert len(split.test) == 1
 
 
@@ -72,7 +77,7 @@ def test_split_traditional_single_test_window_boundary():
     task = ForecastTask(10, 5)
     split = split_traditional(ts, task, split_point=45)
     assert len(split.test) == 1
-    assert split.test[0].anchor == 45
+    assert split.test.anchors[0] == 45
 
 
 def test_split_traditional_preconditions():
@@ -92,8 +97,8 @@ def test_split_separation_invariant():
         h = int(rng.integers(2, 8))
         T = int(rng.integers(l + h, n - h + 1))
         split = split_traditional(series(rng.normal(size=n)), ForecastTask(l, h), T)
-        assert all(p.anchor + h <= T for p in split.train)
-        assert all(p.anchor >= T for p in split.test)
+        assert all(a + h <= T for a in split.train.anchors)
+        assert all(a >= T for a in split.test.anchors)
 
 
 def test_invalid_containers():
@@ -103,3 +108,75 @@ def test_invalid_containers():
         TimeSeries(id="x", values=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         ForecastTask(0, 4)
+
+
+# -- properties of the window arrays ------------------------------------------
+
+
+@st.composite
+def windowed_ranges(draw):
+    """A random series with a task, a stride and a range that holds a window."""
+    l = draw(st.integers(1, 12))
+    h = draw(st.integers(1, 8))
+    n = draw(st.integers(l + h, 80))
+    lo = draw(st.integers(0, n - l - h))
+    hi = draw(st.integers(lo + l + h, n))
+    stride = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).normal(size=n)
+    return series(values), ForecastTask(l, h), stride, (lo, hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(windowed_ranges())
+def test_window_count_formula(case):
+    ts, task, stride, (lo, hi) = case
+    windows = make_windows(ts, task, stride, (lo, hi))
+    assert len(windows) == (hi - lo - task.context_len - task.horizon) // stride + 1
+    assert windows.contexts.shape == (len(windows), task.context_len)
+    assert windows.targets.shape == (len(windows), task.horizon)
+
+
+@settings(max_examples=80, deadline=None)
+@given(windowed_ranges())
+def test_window_rows_are_series_slices(case):
+    ts, task, stride, bounds = case
+    l, h = task.context_len, task.horizon
+    windows = make_windows(ts, task, stride, bounds)
+    for i, a in enumerate(windows.anchors):
+        assert bounds[0] <= a - l and a + h <= bounds[1]
+        np.testing.assert_array_equal(windows.contexts[i], ts.values[a - l : a])
+        np.testing.assert_array_equal(windows.targets[i], ts.values[a : a + h])
+
+
+@st.composite
+def split_cases(draw):
+    """A random series with a task, a stride and a valid split point."""
+    l = draw(st.integers(1, 12))
+    h = draw(st.integers(1, 8))
+    T = draw(st.integers(l + h, 60))
+    n = draw(st.integers(T + h, T + h + 30))
+    stride = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).normal(size=n)
+    return series(values), ForecastTask(l, h), stride, T
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_cases())
+def test_split_train_targets_end_by_T_and_test_anchors_start_at_T(case):
+    ts, task, stride, T = case
+    split = split_traditional(ts, task, T, stride)
+    assert np.all(split.train.anchors + task.horizon <= T)
+    assert np.all(split.test.anchors >= T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_cases(), st.integers(1, 3))
+def test_ood_test_rows_equal_id_test_rows(case, k):
+    ts, task, stride, T = case
+    ood = build_compositional_split(ts, task, k, T, stride)
+    id_split = split_traditional(ts, task, T, stride)
+    np.testing.assert_array_equal(ood.test.anchors, id_split.test.anchors)
+    np.testing.assert_array_equal(ood.test.contexts, id_split.test.contexts)
+    np.testing.assert_array_equal(ood.test.targets, id_split.test.targets)

@@ -221,7 +221,6 @@ def test_compositional_test_side_identical_to_traditional():
     ood = build_compositional_split(ts, task, k=2, split_point=1008)
     id_split = split_traditional(ts, task, split_point=1008)
     assert len(ood.test) == len(id_split.test)
-    for a, b in zip(ood.test, id_split.test):
-        assert a.anchor == b.anchor
-        np.testing.assert_array_equal(a.context, b.context)
-        np.testing.assert_array_equal(a.target, b.target)
+    np.testing.assert_array_equal(ood.test.anchors, id_split.test.anchors)
+    np.testing.assert_array_equal(ood.test.contexts, id_split.test.contexts)
+    np.testing.assert_array_equal(ood.test.targets, id_split.test.targets)

@@ -3,7 +3,10 @@ import pytest
 
 from specbench.errors import BadContextLength, EmptyTrainSet
 from specbench.models import Family, ModelConfig, TrainConfig, fit, predict
-from specbench.series import WindowPair
+from specbench.models.statistical import _fit_ar
+from specbench.series import Windows
+
+from helpers import stack_windows
 
 
 def _windows_from_series(values, l, h, count=30, stride=3):
@@ -12,8 +15,8 @@ def _windows_from_series(values, l, h, count=30, stride=3):
         t = l + i * stride
         if t + h > len(values):
             break
-        out.append(WindowPair(values[t - l : t], values[t : t + h], t))
-    return out
+        out.append((values[t - l : t], values[t : t + h], t))
+    return stack_windows(out)
 
 
 TC = TrainConfig(max_steps=10)
@@ -21,7 +24,7 @@ TC = TrainConfig(max_steps=10)
 
 def test_naive_last_predicts_last_value():
     cfg = ModelConfig(family=Family.NAIVE_LAST, horizon=5, context_len=8)
-    model = fit(cfg, _windows_from_series(np.arange(100.0), 8, 5), [], TC)
+    model = fit(cfg, _windows_from_series(np.arange(100.0), 8, 5), None, TC)
     np.testing.assert_array_equal(
         predict(model, np.arange(8.0)), np.full(5, 7.0)
     )
@@ -29,19 +32,19 @@ def test_naive_last_predicts_last_value():
 
 def test_naive_fit_is_immediate():
     cfg = ModelConfig(family=Family.NAIVE_LAST, horizon=5, context_len=8)
-    model = fit(cfg, _windows_from_series(np.arange(100.0), 8, 5), [], TC)
+    model = fit(cfg, _windows_from_series(np.arange(100.0), 8, 5), None, TC)
     assert model.params == {} and model.extra == {} and model.history == []
 
 
 def test_empty_train_set():
     cfg = ModelConfig(family=Family.NAIVE_LAST, horizon=5, context_len=8)
     with pytest.raises(EmptyTrainSet):
-        fit(cfg, [], [], TC)
+        fit(cfg, Windows(np.empty((0, 8)), np.empty((0, 5)), np.empty(0, dtype=int)), None, TC)
 
 
 def test_bad_context_length():
     cfg = ModelConfig(family=Family.NAIVE_LAST, horizon=5, context_len=8)
-    model = fit(cfg, _windows_from_series(np.arange(100.0), 8, 5), [], TC)
+    model = fit(cfg, _windows_from_series(np.arange(100.0), 8, 5), None, TC)
     with pytest.raises(BadContextLength):
         predict(model, np.arange(7.0))
 
@@ -50,7 +53,7 @@ def test_seasonal_naive_repeats_dominant_period():
     n = 640
     values = np.sin(2 * np.pi * np.arange(n) / 16)  # period 16
     cfg = ModelConfig(family=Family.SEASONAL_NAIVE, horizon=32, context_len=64)
-    model = fit(cfg, _windows_from_series(values, 64, 32), [], TC)
+    model = fit(cfg, _windows_from_series(values, 64, 32), None, TC)
     context = values[:64]
     forecast = predict(model, context)
     expected = np.resize(context[-16:], 32)
@@ -62,7 +65,7 @@ def test_ses_flat_forecast_and_alpha_range():
     rng = np.random.default_rng(60)
     values = rng.normal(size=400) + 5
     cfg = ModelConfig(family=Family.SES, horizon=6, context_len=32)
-    model = fit(cfg, _windows_from_series(values, 32, 6), [], TC)
+    model = fit(cfg, _windows_from_series(values, 32, 6), None, TC)
     alpha = float(model.extra["alpha"][0])
     assert 0.05 <= alpha <= 0.95
     forecast = predict(model, values[:32])
@@ -72,7 +75,7 @@ def test_ses_flat_forecast_and_alpha_range():
 def test_holt_extrapolates_linear_trend():
     values = 0.5 * np.arange(400.0) + 2
     cfg = ModelConfig(family=Family.HOLT, horizon=8, context_len=32)
-    model = fit(cfg, _windows_from_series(values, 32, 8), [], TC)
+    model = fit(cfg, _windows_from_series(values, 32, 8), None, TC)
     context = values[100:132]
     forecast = predict(model, context)
     expected = values[132:140]
@@ -88,7 +91,7 @@ def test_ar_recovers_exact_ar_process():
     for t in range(2, n):
         x[t] = 1.2 * x[t - 1] - 0.36 * x[t - 2]
     cfg = ModelConfig(family=Family.AR_LS, horizon=1, context_len=32, ar_order=2)
-    model = fit(cfg, _windows_from_series(x, 32, 1, count=60), [], TC)
+    model = fit(cfg, _windows_from_series(x, 32, 1, count=60), None, TC)
     context = x[200:232]
     forecast = predict(model, context)
     assert abs(forecast[0] - x[232]) < 1e-6
@@ -97,7 +100,22 @@ def test_ar_recovers_exact_ar_process():
 def test_ar_multi_step_recursion():
     values = np.sin(2 * np.pi * np.arange(800) / 20)
     cfg = ModelConfig(family=Family.AR_LS, horizon=40, context_len=64, ar_order=4)
-    model = fit(cfg, _windows_from_series(values, 64, 40, count=40), [], TC)
+    model = fit(cfg, _windows_from_series(values, 64, 40, count=40), None, TC)
     context = values[300:364]
     forecast = predict(model, context)
     np.testing.assert_allclose(forecast, values[364:404], atol=1e-6)
+
+
+def test_ar_design_matches_row_by_row_reference():
+    rng = np.random.default_rng(62)
+    values = np.cumsum(rng.normal(size=500))
+    windows = _windows_from_series(values, 40, 12, count=50, stride=7)
+    order = 6
+    rows, targets = [], []
+    for seq in np.concatenate([windows.contexts, windows.targets], axis=1):
+        for t in range(order, seq.size):
+            rows.append(seq[t - order : t][::-1])
+            targets.append(seq[t])
+    X = np.column_stack([np.asarray(rows), np.ones(len(rows))])
+    reference, *_ = np.linalg.lstsq(X, np.asarray(targets), rcond=None)
+    np.testing.assert_array_equal(_fit_ar(windows, order), reference)

@@ -21,9 +21,8 @@ from specbench.models import (
 from specbench.models.networks import build_network
 from specbench.models.losses import mae_loss, mse_loss, huber_loss, student_t_nll
 from specbench.optim import rng_stream
-from specbench.series import WindowPair
 
-from helpers import fd_gradcheck, kink_margin, kink_safe_targets
+from helpers import fd_gradcheck, kink_margin, kink_safe_targets, stack_windows, take
 
 
 def _sine_windows(count, l, h, seed=0, freq=16.0, noise=0.0):
@@ -35,8 +34,8 @@ def _sine_windows(count, l, h, seed=0, freq=16.0, noise=0.0):
         seq = 3.0 * np.sin(2 * np.pi * t / freq) + 1.5
         if noise:
             seq = seq + rng.normal(size=seq.size) * noise
-        out.append(WindowPair(seq[:l], seq[l:], int(t0 + l)))
-    return out
+        out.append((seq[:l], seq[l:], int(t0 + l)))
+    return stack_windows(out)
 
 
 def _tiny_cfg(family, **kwargs):
@@ -163,10 +162,10 @@ def test_early_stopping_restores_best_validation():
     assert model.history, "validation history must be recorded"
     best_recorded = min(v for _, _, v in model.history)
     # recompute validation loss at the returned parameters
-    from specbench.models.training import _batch_loss, _window_matrices
+    from specbench.models.training import _batch_loss
 
     net = model.network()
-    val_loss = _batch_loss(net, cfg, *_window_matrices(valid)).data.item()
+    val_loss = _batch_loss(net, cfg, valid.contexts, valid.targets).data.item()
     assert val_loss == pytest.approx(best_recorded, abs=1e-12)
     assert model.history == sorted(model.history, key=lambda rec: rec[0])
 
@@ -183,8 +182,9 @@ def test_mlp_converges_on_noiseless_basis_sinusoid():
     cfg = ModelConfig(family=Family.MLP, horizon=192, context_len=256)
     tc = TrainConfig(max_steps=500, val_check_every=100, windows_batch=64, seed=1)
     model = fit(cfg, train, val, tc)
+    sample = take(train, np.s_[::25])
     train_mae = float(
-        np.mean([np.abs(w.target - predict(model, w.context)).mean() for w in train[::25]])
+        np.mean([np.abs(t - f).mean() for t, f in zip(sample.targets, predict(model, sample.contexts))])
     )
     assert train_mae < 0.05 * amp
 
@@ -194,7 +194,7 @@ def test_fit_rejects_mismatched_window_shapes():
     bad = _sine_windows(2, 12, 4, seed=21)
     cfg = _tiny_cfg(Family.MLP)
     with pytest.raises(ValueError):
-        fit(cfg, bad, [], TrainConfig(max_steps=2))
+        fit(cfg, bad, None, TrainConfig(max_steps=2))
     with pytest.raises(ValueError):
         fit(cfg, good, bad, TrainConfig(max_steps=2))
 
@@ -226,7 +226,7 @@ def test_scaling_equivariance(family, axes):
         axes = dict(axes, custom_dims=(12, 24, 1, 2))
     cfg = _tiny_cfg(family, scaler=Scaler.REVIN_STANDARD, **axes)
     model = fit(cfg, train, valid, TrainConfig(max_steps=15, val_check_every=5, windows_batch=8, seed=1))
-    ctx = train[0].context
+    ctx = train.contexts[0]
     base = predict(model, ctx)
     a, b = 2.5, -1.75
     shifted = predict(model, a * ctx + b)
@@ -249,22 +249,22 @@ def test_causal_attention_ignores_future_tokens():
 def test_embed_shape_and_determinism():
     train = _sine_windows(12, 16, 4, seed=11)
     cfg = _tiny_transformer()
-    model = fit(cfg, train, train[:2], TrainConfig(max_steps=5, val_check_every=5, windows_batch=4, seed=1))
-    e1 = embed(model, train[0].context)
-    e2 = embed(model, train[0].context)
+    model = fit(cfg, train, take(train, np.s_[:2]), TrainConfig(max_steps=5, val_check_every=5, windows_batch=4, seed=1))
+    e1 = embed(model, train.contexts[0])
+    e2 = embed(model, train.contexts[0])
     assert e1.shape == (3, 12)  # (16-8)/4+1 tokens, tiny hidden
     np.testing.assert_array_equal(e1, e2)
     with pytest.raises(UnsupportedFamily):
-        embed(fit(_tiny_cfg(Family.NLINEAR), train, train[:2], TrainConfig(max_steps=5)), train[0].context)
+        embed(fit(_tiny_cfg(Family.NLINEAR), train, take(train, np.s_[:2]), TrainConfig(max_steps=5)), train.contexts[0])
 
 
 def test_student_t_quantiles_ordered():
     train = _sine_windows(16, 16, 4, seed=12, noise=0.2)
     cfg = _tiny_transformer(loss=LossKind.STUDENT_T)
-    model = fit(cfg, train, train[:2], TrainConfig(max_steps=10, val_check_every=5, windows_batch=4, seed=1))
-    qs = predict_quantiles(model, train[0].context, qs=(0.1, 0.5, 0.9))
+    model = fit(cfg, train, take(train, np.s_[:2]), TrainConfig(max_steps=10, val_check_every=5, windows_batch=4, seed=1))
+    qs = predict_quantiles(model, train.contexts[0], qs=(0.1, 0.5, 0.9))
     assert np.all(qs[0.1] <= qs[0.5]) and np.all(qs[0.5] <= qs[0.9])
-    point = predict(model, train[0].context)
+    point = predict(model, train.contexts[0])
     np.testing.assert_allclose(qs[0.5], point, atol=1e-9)
 
 
@@ -272,6 +272,38 @@ def test_identical_params_identical_embeddings():
     train = _sine_windows(12, 16, 4, seed=13)
     cfg = _tiny_transformer()
     tc = TrainConfig(max_steps=5, val_check_every=5, windows_batch=4, seed=3)
-    m1 = fit(cfg, train, train[:2], tc)
-    m2 = fit(cfg, train, train[:2], tc)
-    np.testing.assert_array_equal(embed(m1, train[0].context), embed(m2, train[0].context))
+    m1 = fit(cfg, train, take(train, np.s_[:2]), tc)
+    m2 = fit(cfg, train, take(train, np.s_[:2]), tc)
+    np.testing.assert_array_equal(embed(m1, train.contexts[0]), embed(m2, train.contexts[0]))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _tiny_cfg(Family.NLINEAR),
+        _tiny_cfg(Family.NHITS_LITE),
+        _tiny_transformer(loss=LossKind.STUDENT_T),
+        _tiny_cfg(Family.SEASONAL_NAIVE),
+        _tiny_cfg(Family.AR_LS, ar_order=3),
+    ],
+    ids=lambda cfg: cfg.family.value,
+)
+def test_predict_on_rows_matches_one_context_at_a_time(cfg):
+    train = _sine_windows(12, 16, 4, seed=14, noise=0.1)
+    model = fit(cfg, train, None, TrainConfig(max_steps=3, windows_batch=4, seed=1))
+    batched = predict(model, train.contexts)
+    one_by_one = np.stack([predict(model, c) for c in train.contexts])
+    assert batched.shape == (len(train), 4)
+    # one GEMM over n rows may sum in another order than n one-row GEMMs
+    np.testing.assert_allclose(batched, one_by_one, rtol=1e-12, atol=1e-12)
+    if cfg.family is Family.PATCH_TRANSFORMER:
+        embedded = embed(model, train.contexts)
+        assert embedded.shape == (len(train), 3, 12)
+        np.testing.assert_allclose(
+            embedded, np.stack([embed(model, c) for c in train.contexts]), rtol=1e-12, atol=1e-12
+        )
+        quantiles = predict_quantiles(model, train.contexts, qs=(0.9,))[0.9]
+        np.testing.assert_allclose(
+            quantiles, np.stack([predict_quantiles(model, c, qs=(0.9,))[0.9] for c in train.contexts]),
+            rtol=1e-12, atol=1e-12,
+        )
