@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateInput, KTooLarge, ShapeMismatch, TooFewMethods
-from .spectral import SpectralDecomposition, basis_series, sorted_components
+from .spectral import SpectralDecomposition, component_arrays, partial_sums
 
 __all__ = [
     "ScoreMatrix",
@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 BASIS_WIN_THRESHOLD = 2  # smallest k_max that counts as evidence of composition
+
+# Largest components x time-steps partial-sum matrix one basis_win_report
+# group builds (4M float64 cells, 32 MB); wider row sets are split.
+_SCAN_CELLS = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -96,21 +100,57 @@ def basis_win_report(
     y: np.ndarray,
     yhat: np.ndarray,
     dec: SpectralDecomposition,
-    bounds: tuple[int, int],
-) -> BasisWinReport:
+    bounds,
+) -> BasisWinReport | list[BasisWinReport]:
     """Basis win at every k: the forecast's MAE against the MAE of the
-    cumulative top-k reconstruction on the same index range."""
+    cumulative top-k reconstruction on the same index range.
+
+    ``y``/``yhat`` are one window ``(h,)`` with ``bounds = (lo, hi)``, which
+    returns one report, or rows ``(n, h)`` with ``bounds`` an ``(n, 2)``
+    array of per-row ``(lo, hi)``, which returns one report per row. Rows
+    share one partial-sum matrix over the union of their index ranges, cut
+    into groups of at most ``_SCAN_CELLS`` cells (a group always holds at
+    least one row).
+    """
     y = np.asarray(y, dtype=np.float64)
-    score = mae(y, yhat)
-    running = np.zeros_like(y)
-    wins = []
-    for comp in sorted_components(dec):
-        running = running + basis_series(comp, dec.n, bounds)
-        wins.append(bool(score <= np.mean(np.abs(y - running))))
-    k_max = max((i + 1 for i, w in enumerate(wins) if w), default=0)
-    return BasisWinReport(
-        k_max=k_max, wins=wins, threshold_pass=k_max >= BASIS_WIN_THRESHOLD
-    )
+    yhat = np.asarray(yhat, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    single = y.ndim == 1
+    if single:
+        y, yhat, bounds = y[None], yhat[None], bounds[None]
+    if (
+        y.ndim != 2 or y.shape != yhat.shape or y.shape[1] < 1
+        or bounds.shape != (len(y), 2) or np.any(bounds[:, 1] - bounds[:, 0] != y.shape[1])
+    ):
+        raise ShapeMismatch(
+            f"shapes {y.shape} vs {yhat.shape} with bounds {bounds.shape} must agree"
+        )
+    scores = np.mean(np.abs(y - yhat), axis=1)
+    components = component_arrays(dec)
+    n_comp = components[0].size
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    order = np.argsort(lo, kind="stable")
+    reports: list[BasisWinReport | None] = [None] * len(y)
+    start = 0
+    while start < len(order):
+        group_lo, group_hi = lo[order[start]], hi[order[start]]
+        stop = start + 1
+        while stop < len(order):
+            grown = max(group_hi, hi[order[stop]])
+            if n_comp * (grown - group_lo) > _SCAN_CELLS:
+                break
+            group_hi, stop = grown, stop + 1
+        sums = partial_sums(components, dec.n, (group_lo, group_hi))
+        for row in order[start:stop]:
+            window = sums[:, lo[row] - group_lo : hi[row] - group_lo]
+            wins = scores[row] <= np.mean(np.abs(y[row] - window), axis=1)
+            hits = np.flatnonzero(wins)
+            k_max = int(hits[-1]) + 1 if hits.size else 0
+            reports[row] = BasisWinReport(
+                k_max=k_max, wins=wins.tolist(), threshold_pass=k_max >= BASIS_WIN_THRESHOLD
+            )
+        start = stop
+    return reports[0] if single else reports
 
 
 def topk_basis_win(

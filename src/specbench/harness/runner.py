@@ -195,12 +195,12 @@ def execute_run(
                     "target": test.targets[0].tolist(),
                     "forecast": forecasts[0].tolist(),
                 }
-            rows = list(zip(test.targets, forecasts, test.anchors))
-            result.per_series_mae.append(float(np.mean([mae(y, yhat) for y, yhat, _ in rows])))
-            result.per_series_k_max.append(float(np.mean([
-                basis_win_report(y, yhat, decs[series.id], (a, a + task.horizon)).k_max
-                for y, yhat, a in rows
+            result.per_series_mae.append(float(np.mean([
+                mae(y, yhat) for y, yhat in zip(test.targets, forecasts)
             ])))
+            bounds = np.stack([test.anchors, test.anchors + task.horizon], axis=1)
+            reports = basis_win_report(test.targets, forecasts, decs[series.id], bounds)
+            result.per_series_k_max.append(float(np.mean([r.k_max for r in reports])))
 
         result.n_series = len(series_list)
         result.mae = float(np.mean(result.per_series_mae))
@@ -298,27 +298,31 @@ def run_matrix(
             progress(event="cached", run_id=rid, dataset=spec.name, model=model.name,
                      seed=seed, mode=mode)
 
+    def started(spec, model, seed, mode):
+        if progress:
+            progress(event="run", dataset=spec.name, model=model.name, seed=seed, mode=mode)
+
+    def finished(result):
+        results[result.run_id] = result
+        if progress:
+            progress(event="done", run_id=result.run_id, mae=result.mae, error=result.error)
+
     workers = int(os.environ.get("SPECBENCH_WORKERS", "1") or "1")
     if workers > 1 and config_path is not None and pending:
-        payloads = [
-            (str(config_path), str(out), spec.name, model.name, seed, mode)
-            for spec, model, seed, mode in pending
-        ]
+        payloads = []
+        for spec, model, seed, mode in pending:
+            started(spec, model, seed, mode)
+            payloads.append((str(config_path), str(out), spec.name, model.name, seed, mode))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_payload_run, payloads):
-                results[result.run_id] = result
-                if progress:
-                    progress(event="done", run_id=result.run_id)
+                finished(result)
     else:
         for spec, model, seed, mode in pending:
-            if progress:
-                progress(event="run", dataset=spec.name, model=model.name, seed=seed, mode=mode)
+            started(spec, model, seed, mode)
             result = execute_run(cfg, spec, model, seed, mode)
             _release_freed_memory()
             _write_run(out, result)
-            results[result.run_id] = result
-            if progress:
-                progress(event="done", run_id=result.run_id, mae=result.mae, error=result.error)
+            finished(result)
 
     return [results[rid] for rid in ids]
 

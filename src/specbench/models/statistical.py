@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import EmptyTrainSet
 from ..series import Windows
-from ..spectral import dft, sorted_components
+from ..spectral import component_arrays, dft
 from .config import Family, ModelConfig
 
 __all__ = [
@@ -38,10 +38,11 @@ def _sequences(train: Windows, cap: int = _MAX_FIT_WINDOWS) -> np.ndarray:
 
 def dominant_period(context: np.ndarray) -> int:
     """Period (in samples) of the largest non-DC spectral bin of the context."""
-    comps = [c for c in sorted_components(dft(context)) if c.freq_index > 0]
-    if not comps:
+    freq, _, _ = component_arrays(dft(context))
+    freq = freq[freq > 0]
+    if not freq.size:
         return 1
-    return max(1, round(len(context) / comps[0].freq_index))
+    return max(1, round(len(context) / int(freq[0])))
 
 
 def _ses_sweep(seqs: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -26,9 +26,11 @@ __all__ = [
     "BasisComponent",
     "dft",
     "reconstruct_full",
+    "component_arrays",
     "sorted_components",
     "top_k_components",
     "basis_series",
+    "partial_sums",
     "partial_sum",
     "compositional_basis",
     "build_compositional_split",
@@ -126,32 +128,57 @@ def reconstruct_full(dec: SpectralDecomposition) -> np.ndarray:
     return np.real(_transform(dec.coeffs, +1))
 
 
-def _collapse(dec: SpectralDecomposition) -> list[BasisComponent]:
+def component_arrays(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(freq_index, amplitude, phase)`` of the pair-collapsed components
+    with non-negligible amplitude, sorted by descending amplitude (ties:
+    lower frequency first).
+
+    A conjugate pair's amplitude is ``2 |c_w|`` and its phase
+    ``atan2(im, re)`` (``-pi`` folded to ``pi``); the DC bin and (even
+    ``n``) the Nyquist bin keep ``|c_w|`` and take phase 0 or ``pi`` from
+    the sign of the real part. Amplitudes use ``np.hypot``, which equals
+    ``abs(complex)`` bit for bit, and phases a per-bin ``math.atan2``:
+    numpy's vectorised ``abs`` on complex and ``arctan2`` differ from them
+    in the last bit on some bins, which can reorder ties and move k_max.
+    """
     n = dec.n
-    out = []
-    for w in range(n // 2 + 1):
-        c = dec.coeffs[w]
-        if w == 0 or (n % 2 == 0 and w == n // 2):
-            amp = abs(c)
-            phase = 0.0 if c.real >= 0 else math.pi
-            is_pair = False
-        else:
-            amp = 2.0 * abs(c)
-            phase = math.atan2(c.imag, c.real)
-            if phase <= -math.pi:
-                phase = math.pi
-            is_pair = True
-        out.append(BasisComponent(w, float(amp), float(phase), is_pair))
-    return out
+    half = dec.coeffs[: n // 2 + 1]
+    re, im = half.real, half.imag
+    single = np.zeros(half.size, dtype=bool)
+    single[0] = True
+    single[-1] |= n % 2 == 0
+    amplitude = np.hypot(re, im)
+    amplitude[~single] *= 2.0
+    phase = np.array([math.atan2(b, a) for a, b in zip(re.tolist(), im.tolist())])
+    phase[phase <= -math.pi] = math.pi
+    phase[single] = np.where(re[single] >= 0, 0.0, math.pi)
+    keep = np.flatnonzero(amplitude > amplitude.max() * _NONZERO_RTOL)
+    order = keep[np.lexsort((keep, -amplitude[keep]))]
+    return order, amplitude[order], phase[order]
+
+
+def _as_components(
+    n: int, freq: np.ndarray, amp: np.ndarray, phase: np.ndarray
+) -> list[BasisComponent]:
+    return [
+        BasisComponent(w, a, p, 0 < 2 * w < n)
+        for w, a, p in zip(freq.tolist(), amp.tolist(), phase.tolist())
+    ]
 
 
 def sorted_components(dec: SpectralDecomposition) -> list[BasisComponent]:
     """All pair-collapsed components with non-negligible amplitude,
     sorted by descending amplitude (ties: lower frequency first)."""
-    comps = _collapse(dec)
-    tol = max(c.amplitude for c in comps) * _NONZERO_RTOL
-    comps = [c for c in comps if c.amplitude > tol]
-    return sorted(comps, key=lambda c: (-c.amplitude, c.freq_index))
+    return _as_components(dec.n, *component_arrays(dec))
+
+
+def _top_k_arrays(dec: SpectralDecomposition, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if k <= 0:
+        raise ValueError("k must be positive")
+    freq, amp, phase = component_arrays(dec)
+    if k > freq.size:
+        raise KTooLarge(f"k={k} exceeds the {freq.size} nonzero components")
+    return freq[:k], amp[:k], phase[:k]
 
 
 def top_k_components(dec: SpectralDecomposition, k: int) -> list[BasisComponent]:
@@ -162,12 +189,7 @@ def top_k_components(dec: SpectralDecomposition, k: int) -> list[BasisComponent]
     KTooLarge
         If fewer than ``k`` components have nonzero amplitude.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    comps = sorted_components(dec)
-    if k > len(comps):
-        raise KTooLarge(f"k={k} exceeds the {len(comps)} nonzero components")
-    return comps[:k]
+    return _as_components(dec.n, *_top_k_arrays(dec, k))
 
 
 def basis_series(comp: BasisComponent, n: int, bounds: tuple[int, int]) -> np.ndarray:
@@ -177,13 +199,26 @@ def basis_series(comp: BasisComponent, n: int, bounds: tuple[int, int]) -> np.nd
     return comp.amplitude * np.cos(2.0 * np.pi * comp.freq_index * t / n + comp.phase)
 
 
+def partial_sums(
+    components: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, bounds: tuple[int, int]
+) -> np.ndarray:
+    """``(K, hi - lo)`` matrix whose row ``k - 1`` is the pointwise sum of
+    the first k of ``components`` (as from :func:`component_arrays`).
+
+    Each cell is :func:`basis_series`' expression, and ``cumsum`` adds the
+    rows in order, so row ``k - 1`` equals the running sum of the first k
+    basis series bit for bit.
+    """
+    freq, amp, phase = components
+    lo, hi = bounds
+    t = np.arange(lo, hi, dtype=np.float64)
+    basis = amp[:, None] * np.cos(2.0 * np.pi * freq[:, None] * t / n + phase[:, None])
+    return np.cumsum(basis, axis=0)
+
+
 def partial_sum(dec: SpectralDecomposition, k: int, bounds: tuple[int, int]) -> np.ndarray:
     """Pointwise sum of the top-k basis series over ``bounds``."""
-    lo, hi = bounds
-    total = np.zeros(hi - lo, dtype=np.float64)
-    for comp in top_k_components(dec, k):
-        total += basis_series(comp, dec.n, bounds)
-    return total
+    return partial_sums(_top_k_arrays(dec, k), dec.n, bounds)[-1]
 
 
 def compositional_basis(series: TimeSeries, k: int) -> list[TimeSeries]:

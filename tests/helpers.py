@@ -2,6 +2,8 @@
 finite-difference gradient checks."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from specbench.autodiff import Tape, Tensor, backward, recording
@@ -29,6 +31,58 @@ def naive_dft(values: np.ndarray) -> np.ndarray:
             total += values[t] * np.exp(-2j * np.pi * w * t / n)
         coeffs[w] = total / n
     return coeffs
+
+
+def reference_series(n: int, seed: int) -> np.ndarray:
+    """A random walk with a negative mean and a Nyquist term (even n), so
+    the DC bin has phase pi and the Nyquist bin is a single component."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    walk = rng.normal(size=n).cumsum()
+    return walk - walk.mean() - 5.0 + 0.7 * np.cos(np.pi * t) + np.sin(2 * np.pi * 3 * t / n)
+
+
+# odd, even, power-of-two and the 1200-sample default length
+REFERENCE_LENGTHS = (63, 64, 999, 1024, 1056, 1057, 1200, 2048)
+
+
+def sorted_components_reference(dec) -> list[tuple[int, float, float]]:
+    """``(freq_index, amplitude, phase)`` per component, collapsed one bin
+    at a time with scalar arithmetic, filtered at 1e-12 of the
+    largest amplitude and sorted by (-amplitude, freq_index)."""
+    n = dec.n
+    comps = []
+    for w in range(n // 2 + 1):
+        c = dec.coeffs[w]
+        if w == 0 or (n % 2 == 0 and w == n // 2):
+            amp, phase = abs(c), (0.0 if c.real >= 0 else math.pi)
+        else:
+            amp, phase = 2.0 * abs(c), math.atan2(c.imag, c.real)
+            if phase <= -math.pi:
+                phase = math.pi
+        comps.append((w, amp, phase))
+    tol = max(amp for _, amp, _ in comps) * 1e-12
+    return sorted((c for c in comps if c[1] > tol), key=lambda c: (-c[1], c[0]))
+
+
+def running_sums_reference(dec, bounds) -> list[np.ndarray]:
+    """Cumulative top-k reconstructions over ``bounds`` for k = 1..K, added
+    one basis series at a time."""
+    lo, hi = bounds
+    t = np.arange(lo, hi, dtype=np.float64)
+    running = np.zeros(hi - lo)
+    sums = []
+    for w, amp, phase in sorted_components_reference(dec):
+        running = running + amp * np.cos(2.0 * np.pi * w * t / dec.n + phase)
+        sums.append(running)
+    return sums
+
+
+def basis_wins_reference(y, yhat, dec, bounds) -> tuple[list[bool], int]:
+    """Per-k basis wins and k_max of one window, one component at a time."""
+    score = float(np.mean(np.abs(np.asarray(y) - np.asarray(yhat))))
+    wins = [bool(score <= np.mean(np.abs(y - s))) for s in running_sums_reference(dec, bounds)]
+    return wins, max((k for k, win in enumerate(wins, 1) if win), default=0)
 
 
 def kink_margin(loss_fn) -> float:

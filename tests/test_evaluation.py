@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from specbench import evaluation
 from specbench.errors import DegenerateInput, ShapeMismatch, TooFewMethods
 from specbench.evaluation import (
     ScoreMatrix,
@@ -21,6 +23,8 @@ from specbench.evaluation import (
     _signed_rank_statistic,
 )
 from specbench.spectral import dft, partial_sum, sorted_components
+
+from helpers import REFERENCE_LENGTHS, basis_wins_reference, reference_series
 
 
 # -- MAE ------------------------------------------------------------------------
@@ -113,6 +117,87 @@ def test_kmax_non_monotone_win_pattern():
     assert report.wins == oracle
     assert oracle == [False, True, False, False, False]
     assert report.k_max == 2 == topk_max(target, yhat, dec, bounds)
+
+
+def _scored_rows(n: int, h: int, rows: int, seed: int):
+    """Test-side rows of ``reference_series(n)`` with forecasts at several
+    error scales, so k_max ranges from 0 to every component."""
+    rng = np.random.default_rng(seed)
+    y = reference_series(n, seed)
+    anchors = np.sort(rng.integers(0, n - h + 1, size=rows))
+    targets = np.stack([y[a : a + h] for a in anchors])
+    scale = np.geomspace(1e-3, 3.0, rows)[:, None]
+    forecasts = targets + scale * rng.normal(size=targets.shape)
+    return dft(y), targets, forecasts, np.stack([anchors, anchors + h], axis=1)
+
+
+@pytest.mark.parametrize("n", REFERENCE_LENGTHS)
+def test_basis_win_rows_match_component_by_component_reference(n):
+    h = min(192, n // 4)
+    dec, targets, forecasts, bounds = _scored_rows(n, h, rows=8, seed=n)
+    reports = basis_win_report(targets, forecasts, dec, bounds)
+    for report, y, yhat, b in zip(reports, targets, forecasts, bounds):
+        wins, k_max = basis_wins_reference(y, yhat, dec, tuple(b))
+        assert report.wins == wins and report.k_max == k_max
+        assert report.threshold_pass == (k_max >= 2)
+    assert len({r.k_max for r in reports}) > 1
+
+
+@st.composite
+def scored_rows(draw):
+    n = draw(st.integers(4, 300))
+    h = draw(st.integers(1, n))
+    rows = draw(st.integers(1, 6))
+    lo = draw(st.lists(st.integers(0, 2 * n), min_size=rows, max_size=rows))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dec = dft(rng.normal(size=n))
+    targets = rng.normal(size=(rows, h))
+    forecasts = targets + rng.uniform(0.0, 2.0) * rng.normal(size=(rows, h))
+    bounds = np.stack([np.asarray(lo), np.asarray(lo) + h], axis=1)
+    return dec, targets, forecasts, bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(scored_rows())
+def test_row_call_equals_one_call_per_row(case):
+    dec, targets, forecasts, bounds = case
+    reports = basis_win_report(targets, forecasts, dec, bounds)
+    assert reports == [
+        basis_win_report(y, yhat, dec, (int(lo), int(hi)))
+        for y, yhat, (lo, hi) in zip(targets, forecasts, bounds)
+    ]
+
+
+def test_row_groups_under_a_small_cell_cap_give_the_same_reports(monkeypatch):
+    dec, targets, forecasts, bounds = _scored_rows(1200, 192, rows=15, seed=3)
+    whole = basis_win_report(targets, forecasts, dec, bounds)
+    built = []
+    real_partial_sums = evaluation.partial_sums
+
+    def counting(components, n, span):
+        built.append(span)
+        return real_partial_sums(components, n, span)
+
+    monkeypatch.setattr(evaluation, "partial_sums", counting)
+    basis_win_report(targets, forecasts, dec, bounds)
+    assert len(built) == 1
+    built.clear()
+    n_comp = len(sorted_components(dec))
+    monkeypatch.setattr(evaluation, "_SCAN_CELLS", n_comp * 250)
+    assert basis_win_report(targets, forecasts, dec, bounds) == whole
+    assert len(built) > 2
+    assert all(hi - lo <= 250 for lo, hi in built)
+
+
+def test_basis_win_report_rejects_mismatched_rows():
+    dec, targets, forecasts, bounds = _scored_rows(64, 8, rows=3, seed=1)
+    with pytest.raises(ShapeMismatch):
+        basis_win_report(targets, forecasts[:2], dec, bounds)
+    with pytest.raises(ShapeMismatch):
+        basis_win_report(targets, forecasts, dec, bounds[:2])
+    with pytest.raises(ShapeMismatch):
+        basis_win_report(targets[0], forecasts[0], dec, (0, 9))
 
 
 # -- Friedman ---------------------------------------------------------------------
@@ -236,6 +321,26 @@ def test_holm_permutation_equivariance():
     np.testing.assert_allclose(b, a[perm])
 
 
+p_values = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p_values)
+def test_holm_bounds_and_monotone_in_raw_order(raw):
+    p = np.asarray(raw)
+    adjusted = np.asarray(holm_correct(p))
+    assert np.all(p <= adjusted) and np.all(adjusted <= 1.0)
+    assert np.all(np.diff(adjusted[np.argsort(p, kind="stable")]) >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p_values, st.randoms(use_true_random=False))
+def test_holm_equivariant_under_permutation(raw, random):
+    perm = np.asarray(random.sample(range(len(raw)), len(raw)))
+    p = np.asarray(raw)
+    assert holm_correct(p[perm]) == np.asarray(holm_correct(p))[perm].tolist()
+
+
 # -- CD analysis -------------------------------------------------------------------
 
 
@@ -320,3 +425,27 @@ def test_midranks_ties():
     np.testing.assert_allclose(
         _midranks(np.array([3.0, 1.0, 3.0, 2.0])), [3.5, 1.0, 3.5, 2.0]
     )
+
+
+# few distinct values, so ties are common
+rank_inputs = st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_inputs)
+def test_midranks_sum_and_tied_values_share_a_rank(values):
+    x = np.asarray(values)
+    ranks = _midranks(x)
+    n = x.size
+    assert ranks.sum() == n * (n + 1) / 2
+    for v in np.unique(x):
+        assert np.unique(ranks[x == v]).size == 1
+    assert np.all((x[:, None] < x[None, :]) <= (ranks[:, None] < ranks[None, :]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_inputs, st.randoms(use_true_random=False))
+def test_midranks_invariant_under_permutation(values, random):
+    x = np.asarray(values)
+    perm = np.asarray(random.sample(range(x.size), x.size))
+    np.testing.assert_array_equal(_midranks(x[perm]), _midranks(x)[perm])

@@ -372,9 +372,26 @@ def test_cd_diagram_svg_renders_groups():
 def test_worker_pool_matches_serial(tmp_path, monkeypatch):
     cfg_path = _write_cfg(tmp_path)
     cfg = load_config(cfg_path)
-    serial = run_matrix(cfg, out_dir=tmp_path / "serial")
+    serial_events, pooled_events = [], []
+    serial = run_matrix(cfg, out_dir=tmp_path / "serial",
+                        progress=lambda **kw: serial_events.append(kw))
     monkeypatch.setenv("SPECBENCH_WORKERS", "2")
-    pooled = run_matrix(cfg, out_dir=tmp_path / "pooled", config_path=cfg_path)
+    pooled = run_matrix(cfg, out_dir=tmp_path / "pooled", config_path=cfg_path,
+                        progress=lambda **kw: pooled_events.append(kw))
+
+    def shapes(events):
+        return {(e["event"], tuple(sorted(e))) for e in events}
+
+    assert shapes(serial_events) == shapes(pooled_events) == {
+        ("run", ("dataset", "event", "mode", "model", "seed")),
+        ("done", ("error", "event", "mae", "run_id")),
+    }
+    assert len(serial_events) == len(pooled_events) == 2 * len(serial)
+
+    def cells(events):
+        return sorted(tuple(sorted(e.items())) for e in events if e["event"] == "run")
+
+    assert cells(serial_events) == cells(pooled_events)
     by_id_serial = {r.run_id: r for r in serial}
     by_id_pooled = {r.run_id: r for r in pooled}
     assert by_id_serial.keys() == by_id_pooled.keys()

@@ -16,9 +16,12 @@ from specbench import (
 )
 from specbench.errors import KTooLarge, NonFinite
 from specbench.series import SplitMode
-from specbench.spectral import SpectralDecomposition
+from specbench.spectral import SpectralDecomposition, component_arrays, partial_sums
 
-from helpers import naive_dft
+from helpers import (
+    REFERENCE_LENGTHS, naive_dft, reference_series, running_sums_reference,
+    sorted_components_reference,
+)
 
 
 def test_dft_constant_series():
@@ -103,6 +106,32 @@ def test_top_k_single_bin_and_k_too_large():
     assert comps[0].freq_index == 4
     with pytest.raises(KTooLarge):
         top_k_components(dft(y), 2)
+
+
+@pytest.mark.parametrize("n", REFERENCE_LENGTHS)
+def test_component_arrays_match_bin_by_bin_reference(n):
+    dec = dft(reference_series(n, n))
+    freq, amp, phase = component_arrays(dec)
+    ref_freq, ref_amp, ref_phase = map(np.asarray, zip(*sorted_components_reference(dec)))
+    np.testing.assert_array_equal(freq, ref_freq)
+    np.testing.assert_array_equal(amp, ref_amp)
+    np.testing.assert_array_equal(phase, ref_phase)
+    assert dec.coeffs[0].real < 0 and phase[freq == 0] == [np.pi]
+    if n % 2 == 0:
+        assert n // 2 in freq
+    comps = sorted_components(dec)
+    assert [(c.freq_index, c.amplitude, c.phase) for c in comps] == sorted_components_reference(dec)
+    assert [c.is_pair for c in comps] == [0 < 2 * w < n for w in freq]
+
+
+@pytest.mark.parametrize("n", REFERENCE_LENGTHS)
+def test_partial_sums_match_running_sum_reference(n):
+    dec = dft(reference_series(n, n + 1))
+    bounds = (n // 3, n // 3 + n // 5 + 1)
+    reference = running_sums_reference(dec, bounds)
+    np.testing.assert_array_equal(partial_sums(component_arrays(dec), n, bounds), np.stack(reference))
+    for k in (1, 2, len(reference) // 2, len(reference)):
+        np.testing.assert_array_equal(partial_sum(dec, k, bounds), reference[k - 1])
 
 
 def test_basis_series_dc_component():
