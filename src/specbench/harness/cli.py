@@ -23,12 +23,14 @@ from ..models import (
     embed,
     fit,
 )
-from ..preprocess import load_csv, segment, select_series, write_csv
+from ..preprocess import (
+    ACF_LAGS, ADF_ALPHA, PATCH_LEN, PATCH_STRIDE, load_csv, segment, select_series, write_csv,
+)
 from ..series import ForecastTask, TimeSeries, Windows
-from ..synthgen import SyntheticVariant, gen_sinusoid_dataset, gen_trend_dataset
+from ..synthgen import DEFAULT_LENGTH
 from .expconfig import load_config
 from .plotting import plot_forecast
-from .runner import RunResult, _train_val_windows, aggregate, run_matrix
+from .runner import RunResult, _train_val_windows, aggregate, run_matrix, synthetic_dataset
 
 __all__ = ["main"]
 
@@ -46,17 +48,10 @@ def _emit(**fields) -> None:
     print(" ".join(f"{key}={value}" for key, value in fields.items()), flush=True)
 
 
-def _generate(kind: str, n: int, seed: int, length: int):
-    if kind == "sinusoid":
-        return gen_sinusoid_dataset(n, seed=seed, length=length)
-    variant = SyntheticVariant.TREND1 if kind == "trend1" else SyntheticVariant.TREND2
-    return gen_trend_dataset(variant, n, seed=seed, length=length)
-
-
 def _cmd_gen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _generate(args.kind, args.n, args.seed, args.length)
+    dataset = synthetic_dataset(args.kind, args.n, args.seed, args.length)
     write_csv(out / "composed.csv", dataset.composed)
     components = [part for parts in dataset.components for part in parts]
     write_csv(out / "components.csv", components)
@@ -147,7 +142,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_cka(args) -> int:
-    dataset = _generate(args.kind, max(args.series, 2), args.seed, args.length)
+    dataset = synthetic_dataset(args.kind, max(args.series, 2), args.seed, args.length)
     task = ForecastTask(context_len=args.context_len, horizon=args.horizon)
     variants = {
         "id_composed": [[s] for s in dataset.composed],
@@ -198,7 +193,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--kind", choices=("sinusoid", "trend1", "trend2"), default="sinusoid")
     gen.add_argument("--n", type=int, default=100)
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--length", type=int, default=1200)
+    gen.add_argument("--length", type=int, default=DEFAULT_LENGTH)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
@@ -206,10 +201,10 @@ def _build_parser() -> _Parser:
     prep.add_argument("--input", required=True)
     prep.add_argument("--out", required=True)
     prep.add_argument("--keep", type=int, default=100)
-    prep.add_argument("--patch-len", type=int, default=1056, dest="patch_len")
-    prep.add_argument("--stride", type=int, default=528)
-    prep.add_argument("--alpha", type=float, default=0.001)
-    prep.add_argument("--nlags", type=int, default=48)
+    prep.add_argument("--patch-len", type=int, default=PATCH_LEN, dest="patch_len")
+    prep.add_argument("--stride", type=int, default=PATCH_STRIDE)
+    prep.add_argument("--alpha", type=float, default=ADF_ALPHA)
+    prep.add_argument("--nlags", type=int, default=ACF_LAGS)
     prep.set_defaults(func=_cmd_prep)
 
     run = sub.add_parser("run", help="execute the experiment matrix")

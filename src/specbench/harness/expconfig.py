@@ -22,6 +22,7 @@ from pathlib import Path
 from ..errors import ConfigError
 from ..models.config import PER_RUN, Family, ModelConfig, TrainConfig, decode_fields
 from ..series import ForecastTask
+from ..synthgen import DEFAULT_LENGTH
 
 __all__ = ["DatasetSpec", "ModelSpec", "ExperimentConfig", "parse_config", "load_config"]
 
@@ -37,7 +38,7 @@ class DatasetSpec:
     path: str | None = None
     n_series: int = 100
     seed: int = 1
-    length: int = 1200
+    length: int = DEFAULT_LENGTH
     limit_series: int = 0  # 0 = use all
     k: int = 2
 

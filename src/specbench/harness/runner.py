@@ -36,12 +36,21 @@ from ..models.config import encode_field
 from ..preprocess import load_csv
 from ..series import ForecastTask, TimeSeries, Windows, make_windows
 from ..spectral import basis_series, dft, top_k_components
-from ..synthgen import SyntheticVariant, gen_sinusoid_dataset, gen_trend_dataset
+from ..synthgen import SyntheticDataset, SyntheticVariant, gen_sinusoid_dataset, gen_trend_dataset
 from .expconfig import DatasetSpec, ExperimentConfig, ModelSpec, load_config
 
-__all__ = ["RunResult", "run_id", "run_matrix", "aggregate", "resolve_dataset"]
+__all__ = [
+    "RESULT_SCHEMA", "RunResult", "run_id", "run_matrix", "aggregate", "resolve_dataset",
+    "synthetic_dataset",
+]
 
 MODES = ("ID", "OOD")
+
+# Version of the code that computes a run's ``result``. It is hashed into
+# every run id, so bumping it makes run files written by older code cache
+# misses. Bump it whenever a change moves result values without changing
+# a config field.
+RESULT_SCHEMA = 2
 
 
 @dataclass
@@ -85,7 +94,8 @@ def run_id(
 ) -> str:
     """Stable id hashing the text of every setting the run uses: the task,
     the train config with the run's seed, the dataset, and every model
-    field with its defaults filled in, so a changed default is a new id."""
+    field with its defaults filled in, so a changed default is a new id.
+    :data:`RESULT_SCHEMA` is hashed too, so new result code is a new id."""
     tables = {
         "task": {**asdict(cfg.task), "stride": cfg.stride, "split_point": cfg.split_point},
         "train": asdict(dataclasses.replace(cfg.train, seed=seed)),
@@ -97,11 +107,20 @@ def run_id(
         for table, values in tables.items()
         for key, value in values.items()
     ]
-    parts.append(f"mode={mode}")
+    parts += [f"mode={mode}", f"schema={RESULT_SCHEMA}"]
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
 _DATASET_CACHE: dict[tuple, list[TimeSeries]] = {}
+
+
+def synthetic_dataset(kind: str, n_series: int, seed: int, length: int) -> SyntheticDataset:
+    """Generate the synthetic dataset named by ``kind``: "sinusoid",
+    "trend1" or "trend2" (a :class:`SyntheticVariant` value)."""
+    variant = SyntheticVariant(kind)
+    if variant is SyntheticVariant.SINUSOID:
+        return gen_sinusoid_dataset(n_series, seed=seed, length=length)
+    return gen_trend_dataset(variant, n_series, seed=seed, length=length)
 
 
 def resolve_dataset(spec: DatasetSpec) -> list[TimeSeries]:
@@ -109,18 +128,10 @@ def resolve_dataset(spec: DatasetSpec) -> list[TimeSeries]:
     key = (spec.kind, spec.path, spec.n_series, spec.seed, spec.length, spec.limit_series)
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
-    if spec.kind == "sinusoid":
-        series = gen_sinusoid_dataset(spec.n_series, seed=spec.seed, length=spec.length).composed
-    elif spec.kind == "trend1":
-        series = gen_trend_dataset(
-            SyntheticVariant.TREND1, spec.n_series, seed=spec.seed, length=spec.length
-        ).composed
-    elif spec.kind == "trend2":
-        series = gen_trend_dataset(
-            SyntheticVariant.TREND2, spec.n_series, seed=spec.seed, length=spec.length
-        ).composed
-    else:
+    if spec.kind == "csv":
         series = load_csv(spec.path)
+    else:
+        series = synthetic_dataset(spec.kind, spec.n_series, spec.seed, spec.length).composed
     if spec.limit_series:
         series = series[: spec.limit_series]
     _DATASET_CACHE[key] = series

@@ -19,7 +19,7 @@ from .config import (
     Tokenization,
     TrainConfig,
 )
-from .losses import huber_loss, loss_value, mae_loss, mse_loss, student_t_nll
+from .losses import huber_loss, mae_loss, mse_loss, student_t_nll
 from .networks import build_network, moving_average_split
 from .scalers import ScalerState, apply_scaler, fit_scaler, invert_scaler
 from .statistical import dominant_period
@@ -31,7 +31,7 @@ __all__ = [
     "Scaler", "Decomposition", "ModelSize", "SIZE_TABLE", "DEFAULT_SEEDS",
     "ModelConfig", "TrainConfig", "TrainedModel",
     "fit", "predict", "predict_quantiles", "embed",
-    "loss_value", "mae_loss", "mse_loss", "huber_loss", "student_t_nll",
+    "mae_loss", "mse_loss", "huber_loss", "student_t_nll",
     "fit_scaler", "apply_scaler", "invert_scaler", "ScalerState",
     "tokenize", "token_count", "positional_bias", "sincos_table", "bin_midpoints",
     "build_network", "moving_average_split", "dominant_period",

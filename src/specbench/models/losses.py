@@ -1,4 +1,4 @@
-"""Training losses, each usable as a differentiable graph or a plain number.
+"""Training losses, each a differentiable graph whose ``.data`` is the value.
 
 All reduce by mean over the horizon (and batch). The Student-t negative
 log-likelihood keeps ``sigma > 0`` and ``nu > 2`` by construction (the
@@ -12,11 +12,10 @@ import math
 
 import numpy as np
 
-from ..autodiff import Tensor, absval, lgamma, log, mean, mul, power
-from ..errors import ShapeMismatch
-from .config import HUBER_DELTA, LossKind
+from ..autodiff import Tensor, absval, lgamma, log, mean, mul
+from .config import HUBER_DELTA
 
-__all__ = ["mae_loss", "mse_loss", "huber_loss", "student_t_nll", "loss_value"]
+__all__ = ["mae_loss", "mse_loss", "huber_loss", "student_t_nll"]
 
 
 def _as_tensor(x) -> Tensor:
@@ -61,30 +60,3 @@ def student_t_nll(target, mu, sigma, nu) -> Tensor:
         + (half_nu + 0.5) * log(1.0 + mul(z, z) / nu)
     )
     return mean(nll)
-
-
-def loss_value(kind: LossKind, y: np.ndarray, yhat, params: dict | None = None) -> float:
-    """Scalar loss for plain arrays.
-
-    For STUDENT_T, ``yhat`` is the ``(mu, sigma, nu)`` triple; other kinds
-    take a prediction array of the same shape as ``y``.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    params = params or {}
-    if kind is LossKind.STUDENT_T:
-        mu, sigma, nu = (np.asarray(a, dtype=np.float64) for a in yhat)
-        if not (mu.shape == sigma.shape == nu.shape == y.shape):
-            raise ShapeMismatch("STUDENT_T parameter shapes must match the target")
-        if np.any(sigma <= 0) or np.any(nu <= 2):
-            raise ValueError("STUDENT_T needs sigma > 0 and nu > 2")
-        return student_t_nll(y, mu, sigma, nu).data.item()
-    yhat = np.asarray(yhat, dtype=np.float64)
-    if yhat.shape != y.shape:
-        raise ShapeMismatch(f"shapes {y.shape} vs {yhat.shape}")
-    if kind is LossKind.MAE:
-        return mae_loss(y, yhat).data.item()
-    if kind is LossKind.MSE:
-        return mse_loss(y, yhat).data.item()
-    if kind is LossKind.HUBER:
-        return huber_loss(y, yhat, params.get("delta", HUBER_DELTA)).data.item()
-    raise ValueError(f"unknown loss {kind}")

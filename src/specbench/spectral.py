@@ -10,7 +10,6 @@ that compose it, and they extend deterministically over any index window.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -69,63 +68,19 @@ class BasisComponent:
     is_pair: bool
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 transform (unnormalized, e^{-i...} kernel)."""
-    n = x.size
-    a = x[_bit_reverse_indices(n)].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        a = a.reshape(-1, size)
-        even = a[:, :half]
-        odd = a[:, half:] * twiddle
-        a = np.concatenate([even + odd, even - odd], axis=1).reshape(-1)
-        size *= 2
-    return a
-
-
-@functools.lru_cache(maxsize=4)
-def _dft_matrix(n: int, sign: int) -> np.ndarray:
-    t = np.arange(n)
-    return np.exp(sign * 2j * np.pi * np.outer(t, t) / n)
-
-
-def _transform(x: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalized transform with kernel ``exp(sign * i 2 pi w t / n)``."""
-    n = x.size
-    if n >= 2 and n & (n - 1) == 0:
-        if sign < 0:
-            return _fft_pow2(x)
-        return np.conj(_fft_pow2(np.conj(x)))
-    return _dft_matrix(n, sign) @ x
-
-
 def dft(values: np.ndarray) -> SpectralDecomposition:
-    """Decompose a real series; O(n log n) for power-of-two n, O(n^2) otherwise."""
+    """Decompose a real series with numpy's FFT in O(n log n)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("dft needs a 1-d array of length >= 2")
     if not np.all(np.isfinite(values)):
         raise NonFinite("dft input contains NaN or infinity")
-    n = values.size
-    coeffs = _transform(values.astype(np.complex128), -1) / n
-    return SpectralDecomposition(coeffs=coeffs, n=n)
+    return SpectralDecomposition(coeffs=np.fft.fft(values, norm="forward"), n=values.size)
 
 
 def reconstruct_full(dec: SpectralDecomposition) -> np.ndarray:
     """Invert a decomposition back to the real series (imaginary residue dropped)."""
-    return np.real(_transform(dec.coeffs, +1))
+    return np.real(np.fft.ifft(dec.coeffs, norm="forward"))
 
 
 def component_arrays(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

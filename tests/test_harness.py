@@ -16,6 +16,7 @@ from specbench.harness import (
     run_matrix,
 )
 from specbench.evaluation import ScoreMatrix, cd_analysis
+from specbench.harness import runner
 from specbench.models import Family, ModelConfig, ModelSize, Tokenization, TrainConfig
 
 CFG_TEXT = """
@@ -424,6 +425,20 @@ def test_run_id_hashes_materialized_model_config(tmp_path, monkeypatch):
     mlp_hidden = next(f for f in dataclasses.fields(ModelConfig) if f.name == "mlp_hidden")
     monkeypatch.setattr(mlp_hidden, "default", 64)
     assert run_id(cfg, spec, model, 1, "ID") != base
+
+
+def test_run_id_changes_with_result_schema(tmp_path, monkeypatch):
+    cfg = load_config(_write_cfg(tmp_path))
+    cells = [
+        (spec, model, seed, mode)
+        for spec in cfg.datasets for model in cfg.models
+        for seed in cfg.seeds for mode in ("ID", "OOD")
+    ]
+    before = [run_id(cfg, *cell) for cell in cells]
+    monkeypatch.setattr(runner, "RESULT_SCHEMA", runner.RESULT_SCHEMA + 1)
+    after = [run_id(cfg, *cell) for cell in cells]
+    assert len(set(before)) == len(cells)
+    assert all(a != b for a, b in zip(before, after))
 
 
 def test_run_id_changes_with_every_train_field_but_seed(tmp_path):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from specbench.errors import PatchTooLong, ShapeMismatch
+from specbench.errors import PatchTooLong
 from specbench.models import (
     Attention,
-    LossKind,
     ModelConfig,
     Family,
     PosEncoding,
@@ -17,10 +16,12 @@ from specbench.models import (
     fit_scaler,
     huber_loss,
     invert_scaler,
-    loss_value,
+    mae_loss,
+    mse_loss,
     moving_average_split,
     positional_bias,
     sincos_table,
+    student_t_nll,
     token_count,
     tokenize,
 )
@@ -149,29 +150,22 @@ def test_positional_bias_keys():
 
 
 def test_mae_mse_values():
-    assert loss_value(LossKind.MAE, [1.0, 2, 3], [1.0, 2, 3]) == 0.0
-    assert loss_value(LossKind.MAE, [1.0, 2, 3], [2.0, 4, 0]) == pytest.approx(2.0)
-    assert loss_value(LossKind.MSE, [0.0, 0], [1.0, -1]) == pytest.approx(1.0)
+    assert mae_loss([1.0, 2, 3], [1.0, 2, 3]).data.item() == 0.0
+    assert mae_loss([1.0, 2, 3], [2.0, 4, 0]).data.item() == pytest.approx(2.0)
+    assert mse_loss([0.0, 0], [1.0, -1]).data.item() == pytest.approx(1.0)
 
 
 def test_huber_value_at_half():
-    assert loss_value(LossKind.HUBER, [0.0], [0.5]) == pytest.approx(0.125)
+    assert huber_loss([0.0], [0.5]).data.item() == pytest.approx(0.125)
     # linear branch: residual 2, delta 1 -> 1 * (2 - 0.5) = 1.5
-    assert loss_value(LossKind.HUBER, [0.0], [2.0]) == pytest.approx(1.5)
+    assert huber_loss([0.0], [2.0]).data.item() == pytest.approx(1.5)
 
 
 def test_student_t_nll_reference_point():
     # y = mu, sigma = 1, nu = 3: -log Gamma(2) + log sqrt(3 pi) + log Gamma(1.5)
     expected = -math.lgamma(2.0) + math.log(math.sqrt(3 * math.pi)) + math.lgamma(1.5)
-    got = loss_value(
-        LossKind.STUDENT_T, [0.0], (np.array([0.0]), np.array([1.0]), np.array([3.0]))
-    )
+    got = student_t_nll([0.0], np.array([0.0]), np.array([1.0]), np.array([3.0])).data.item()
     assert got == pytest.approx(expected, abs=1e-10)
-
-
-def test_loss_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        loss_value(LossKind.MAE, [1.0, 2], [1.0])
 
 
 def test_huber_loss_against_direct_formula():

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from specbench import (
     ForecastTask, TimeSeries, build_compositional_split, make_windows, split_traditional,
 )
-from specbench.errors import RangeTooShort
+from specbench.errors import KTooLarge, RangeTooShort
+from specbench.spectral import component_arrays, dft
 
 from helpers import take
 
@@ -175,6 +176,10 @@ def test_split_train_targets_end_by_T_and_test_anchors_start_at_T(case):
 @given(split_cases(), st.integers(1, 3))
 def test_ood_test_rows_equal_id_test_rows(case, k):
     ts, task, stride, T = case
+    if k > component_arrays(dft(ts.values))[0].size:
+        with pytest.raises(KTooLarge):
+            build_compositional_split(ts, task, k, T, stride)
+        return
     ood = build_compositional_split(ts, task, k, T, stride)
     id_split = split_traditional(ts, task, T, stride)
     np.testing.assert_array_equal(ood.test.anchors, id_split.test.anchors)

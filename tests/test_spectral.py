@@ -37,15 +37,25 @@ def test_dft_single_cosine_bins():
     assert abs(abs(dec.coeffs[13]) - 0.5) < 1e-12
 
 
+# numpy's FFT picks its algorithm by the factors of n: powers of two, odd
+# primes, mixed radices and the shortest lengths all go through the oracle.
+ORACLE_LENGTHS = (2, 3, *REFERENCE_LENGTHS)
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n & (n - 1) == 0
+
+
 def test_dft_matches_naive_oracle():
     rng = np.random.default_rng(7)
-    y = rng.normal(size=16)
-    assert np.abs(dft(y).coeffs - naive_dft(y)).max() < 1e-10
+    for n in (16, *filter(_is_power_of_two, ORACLE_LENGTHS)):
+        y = rng.normal(size=n)
+        assert np.abs(dft(y).coeffs - naive_dft(y)).max() < 1e-10
 
 
 def test_dft_non_power_of_two_matches_naive_oracle():
     rng = np.random.default_rng(8)
-    for n in (12, 37, 100):
+    for n in (12, 37, 100, *(n for n in ORACLE_LENGTHS if not _is_power_of_two(n))):
         y = rng.normal(size=n)
         assert np.abs(dft(y).coeffs - naive_dft(y)).max() < 1e-10
 
@@ -57,8 +67,9 @@ def test_dft_rejects_non_finite():
 
 def test_roundtrip_reconstruction():
     rng = np.random.default_rng(9)
-    y = rng.normal(size=64)
-    assert np.abs(reconstruct_full(dft(y)) - y).max() < 1e-9
+    for n in (64, *ORACLE_LENGTHS):
+        y = rng.normal(size=n)
+        assert np.abs(reconstruct_full(dft(y)) - y).max() < 1e-9
 
 
 def test_reconstruct_zero_coeffs():
