@@ -3,9 +3,11 @@
 Primitives compute with numpy and, while a tape is active (see
 :func:`recording`), append a backward rule to it. Tapes are recorded in
 execution order, which is already a topological order, so
-:func:`backward` is a single reverse sweep. A tape and its tensors
-belong to one worker; nothing here is shared mutable state apart from
-the thread-local active-tape stack.
+:func:`backward` is a single reverse sweep. That sweep consumes the
+tape: each record is popped as its rule runs, which frees the forward
+activations it held, so a tape is swept once and left empty. A tape and
+its tensors belong to one worker; nothing here is shared mutable state
+apart from the thread-local active-tape stack.
 """
 from __future__ import annotations
 
@@ -135,23 +137,38 @@ def _emit(
 def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndarray]:
     """Gradients of a scalar ``loss`` with respect to ``params``.
 
-    Parameters the loss does not reach get zero gradients.
+    ``params`` are leaves: tensors no primitive on ``tape`` produced.
+    Parameters the loss does not reach get zero gradients. The sweep pops
+    every record off ``tape``, so the tape is swept once and left empty,
+    and it drops each record's output gradient once the rule has used it.
     """
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for _, out, inputs, rule in reversed(tape.records):
-        g_out = grads.get(id(out))
+    # Keys whose gradient is a buffer this sweep allocated. Only those are
+    # added into in place: a rule may hand the same array to several
+    # inputs (add returns its ``g`` to both), or pass its own ``g`` on.
+    owned: set[int] = set()
+    records = tape.records
+    while records:
+        _, out, inputs, rule = records.pop()
+        key = id(out)
+        g_out = grads.pop(key, None)
         if g_out is None:
             continue
+        owned.discard(key)
         for tensor, g_in in zip(inputs, rule(g_out)):
             if g_in is None:
                 continue
             key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + g_in
-            else:
+            held = grads.get(key)
+            if held is None:
                 grads[key] = g_in
+            elif key in owned:
+                grads[key] += g_in
+            else:
+                grads[key] = held + g_in
+                owned.add(key)
     return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
 
 
@@ -249,8 +266,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- elementwise nonlinearities -------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _emit(Tensor(np.where(mask, a.data, 0.0)), (a,), lambda g: (g * mask,), op="relu")
+    return _emit(
+        Tensor(np.maximum(a.data, 0.0)), (a,), lambda g: (g * (a.data > 0),), op="relu"
+    )
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -351,19 +369,33 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _emit(Tensor(s), (a,), rule)
 
 
-def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
+def layer_norm(
+    a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1, eps: float = 1e-5
+) -> Tensor:
+    """``normalize(a) * gain + bias`` along ``axis``, as one tape record."""
     mu = a.data.mean(axis=axis, keepdims=True)
     centered = a.data - mu
     var = (centered * centered).mean(axis=axis, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     y = centered * inv_std
+    try:
+        out = Tensor(y * gain.data + bias.data)
+    except ValueError as exc:
+        raise ShapeMismatch(
+            f"layer_norm of {a.shape} with gain {gain.shape}, bias {bias.shape}: {exc}"
+        ) from None
 
     def rule(g):
-        g_mean = g.mean(axis=axis, keepdims=True)
-        gy_mean = (g * y).mean(axis=axis, keepdims=True)
-        return (inv_std * (g - g_mean - y * gy_mean),)
+        gy = g * gain.data
+        g_mean = gy.mean(axis=axis, keepdims=True)
+        gyy_mean = (gy * y).mean(axis=axis, keepdims=True)
+        return (
+            inv_std * (gy - g_mean - y * gyy_mean),
+            _unbroadcast(g * y, gain.shape),
+            _unbroadcast(g, bias.shape),
+        )
 
-    return _emit(Tensor(y), (a,), rule)
+    return _emit(out, (a, gain, bias), rule)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -113,7 +113,7 @@ class PatchTransformer:
     # -- building blocks ------------------------------------------------------
 
     def _ln(self, x: Tensor, name: str) -> Tensor:
-        return add(mul(layer_norm(x), self.params[f"{name}.g"]), self.params[f"{name}.b"])
+        return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _dense(self, x: Tensor, w: str, b: str) -> Tensor:
         return add(matmul(x, self.params[w]), self.params[b])

@@ -30,7 +30,13 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update (Kingma & Ba 2015, Algorithm 1).
+
+    Parameters and moments are updated in place through two scratch
+    arrays per parameter, with the same floating-point operations as
+    ``lr * (m / c1) / (sqrt(v / c2) + eps)``, so the result is
+    bit-identical to that expression.
+    """
     state.step += 1
     t = state.step
     correction1 = 1.0 - beta1 ** t
@@ -44,13 +50,20 @@ def adam_step(
             state.v[name] = np.zeros_like(param.data)
         m = state.m[name]
         v = state.v[name]
+        step = np.multiply(grad, 1.0 - beta1, out=np.empty_like(m))
         m *= beta1
-        m += (1.0 - beta1) * grad
+        m += step
+        np.multiply(grad, 1.0 - beta2, out=step)
+        step *= grad
         v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        m_hat = m / correction1
-        v_hat = v / correction2
-        param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += step
+        np.divide(m, correction1, out=step)
+        denom = np.divide(v, correction2, out=np.empty_like(v))
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step *= lr
+        step /= denom
+        param.data -= step
 
 
 def rng_stream(seed: int, stream: str) -> np.random.Generator:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from specbench.autodiff import Tape, Tensor, backward, recording
+from specbench.autodiff import Tape, Tensor, _emit, add, backward, mul, recording
 from specbench.series import Windows
 
 
@@ -153,3 +153,48 @@ def fd_gradcheck(
             denom = max(1.0, abs(analytic[idx]), abs(numeric))
             worst = max(worst, abs(analytic[idx] - numeric) / denom)
     return worst
+
+
+def bare_layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
+    """The gain-free normalisation primitive ``layer_norm`` grew out of."""
+    mu = a.data.mean(axis=axis, keepdims=True)
+    centered = a.data - mu
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    y = centered * inv_std
+
+    def rule(g):
+        g_mean = g.mean(axis=axis, keepdims=True)
+        gy_mean = (g * y).mean(axis=axis, keepdims=True)
+        return (inv_std * (g - g_mean - y * gy_mean),)
+
+    return _emit(Tensor(y), (a,), rule)
+
+
+def layer_norm_chain_reference(
+    a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1, eps: float = 1e-5
+) -> Tensor:
+    """Affine LayerNorm as three tape records: normalise, scale, shift."""
+    return add(mul(bare_layer_norm(a, axis, eps), gain), bias)
+
+
+def adam_step_reference(params, grads, state, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam written out of place, one temporary per term."""
+    state.step += 1
+    t = state.step
+    correction1 = 1.0 - beta1 ** t
+    correction2 = 1.0 - beta2 ** t
+    for name, param in params.items():
+        grad = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(param.data)
+            state.v[name] = np.zeros_like(param.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        m_hat = m / correction1
+        v_hat = v / correction2
+        param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)

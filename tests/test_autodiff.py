@@ -28,7 +28,7 @@ from specbench.autodiff import (
 )
 from specbench.errors import NonScalarLoss, ShapeMismatch
 
-from helpers import fd_gradcheck
+from helpers import fd_gradcheck, layer_norm_chain_reference
 
 
 def test_matmul_shapes():
@@ -46,7 +46,10 @@ def test_softmax_rows_sum_to_one():
 
 def test_layer_norm_moments():
     rng = np.random.default_rng(32)
-    y = layer_norm(Tensor(rng.normal(size=(4, 16)) * 3 + 2), axis=-1, eps=1e-12)
+    y = layer_norm(
+        Tensor(rng.normal(size=(4, 16)) * 3 + 2), Tensor(np.ones(16)), Tensor(np.zeros(16)),
+        axis=-1, eps=1e-12,
+    )
     np.testing.assert_allclose(y.data.mean(axis=-1), np.zeros(4), atol=1e-9)
     np.testing.assert_allclose(y.data.var(axis=-1), np.ones(4), atol=1e-9)
 
@@ -144,15 +147,70 @@ def test_lgamma_gradient_and_values():
 
 def test_layer_norm_and_softmax_gradients():
     rng = np.random.default_rng(39)
-    params = {"x": Tensor(rng.normal(size=(3, 6)))}
+    params = {
+        "x": Tensor(rng.normal(size=(3, 6))),
+        "gain": Tensor(rng.normal(size=6)),
+        "bias": Tensor(rng.normal(size=6)),
+    }
     weight = rng.normal(size=(3, 6))
 
     def loss_fn():
-        y = layer_norm(params["x"], axis=-1, eps=1e-5)
+        y = layer_norm(params["x"], params["gain"], params["bias"], axis=-1, eps=1e-5)
         s = softmax(y, axis=-1)
         return tsum(mul(s, Tensor(weight)))
 
     assert fd_gradcheck(loss_fn, params) < 1e-4
+
+
+def test_affine_layer_norm_matches_three_record_chain_exactly():
+    rng = np.random.default_rng(42)
+    x = Tensor(rng.normal(size=(4, 5, 16)) * 3 + 1)
+    gain = Tensor(rng.normal(size=16))
+    bias = Tensor(rng.normal(size=16))
+    weight = Tensor(rng.normal(size=(4, 5, 16)))
+    results = []
+    for norm in (layer_norm, layer_norm_chain_reference):
+        tape = Tape()
+        with recording(tape):
+            y = norm(x, gain, bias, axis=-1, eps=1e-5)
+            # x also feeds a residual path, so the order in which its two
+            # gradients are summed is part of what must match
+            loss = tsum(mul(add(y, x), weight))
+        results.append((y.data, *backward(tape, loss, [x, gain, bias])))
+    for fused, chain in zip(*results):
+        np.testing.assert_array_equal(fused, chain)
+
+
+def test_layer_norm_rejects_mismatched_gain():
+    with pytest.raises(ShapeMismatch):
+        layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+
+
+def test_gradients_sum_exactly_when_rules_share_arrays():
+    # add hands one array to both of its inputs, so x collects three
+    # contributions that are the same array, and p is reached from two
+    # branches; every value is exact in float64.
+    x = Tensor(np.array([1.0, -2.0, 3.0, 0.5]))
+    p = Tensor(np.array([0.5, 4.0, -3.0, 2.0]))
+    c = Tensor(np.array([2.0, 5.0, -1.0, 0.25]))
+    tape = Tape()
+    with recording(tape):
+        triple = add(add(x, x), x)
+        loss = tsum(add(mul(triple, p), mul(p, c)))
+    grad_x, grad_p = backward(tape, loss, [x, p])
+    np.testing.assert_array_equal(grad_x, 3.0 * p.data)
+    np.testing.assert_array_equal(grad_p, 3.0 * x.data + c.data)
+
+
+def test_backward_empties_the_tape():
+    rng = np.random.default_rng(43)
+    w = Tensor(rng.normal(size=(3, 2)))
+    tape = Tape()
+    with recording(tape):
+        loss = mean(relu(matmul(Tensor(rng.normal(size=(5, 3))), w)))
+    assert len(tape) == 3
+    backward(tape, loss, [w])
+    assert len(tape) == 0
 
 
 def test_embedding_gradient_scatter():

@@ -3,6 +3,8 @@ import numpy as np
 from specbench.autodiff import Tensor
 from specbench.optim import AdamState, adam_step, rng_stream, uniform_fan_in
 
+from helpers import adam_step_reference
+
 
 def test_zero_gradient_leaves_params_unchanged():
     params = {"w": Tensor(np.array([1.0, -2.0, 3.0]))}
@@ -36,6 +38,25 @@ def test_trajectory_determinism():
 
     a, b = run(), run()
     np.testing.assert_array_equal(a, b)
+
+
+def test_adam_matches_out_of_place_reference_exactly():
+    shapes = {"w": (5, 3), "b": (3,), "scale": (1,), "conv": (2, 4, 3)}
+    rng = np.random.default_rng(41)
+    init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    fast = {name: Tensor(value.copy()) for name, value in init.items()}
+    slow = {name: Tensor(value.copy()) for name, value in init.items()}
+    fast_state, slow_state = AdamState(), AdamState()
+    for _ in range(5):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)
+                 for name, shape in shapes.items()}
+        adam_step(fast, grads, fast_state, lr=3e-3)
+        adam_step_reference(slow, grads, slow_state, lr=3e-3)
+    assert fast_state.step == slow_state.step == 5
+    for name in shapes:
+        np.testing.assert_array_equal(fast[name].data, slow[name].data)
+        np.testing.assert_array_equal(fast_state.m[name], slow_state.m[name])
+        np.testing.assert_array_equal(fast_state.v[name], slow_state.v[name])
 
 
 def test_rng_stream_distinct_names():

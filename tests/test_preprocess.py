@@ -19,6 +19,7 @@ from specbench.errors import (
     TooShort,
     ZeroVariance,
 )
+from specbench.preprocess import _TAU_MAX, _TAU_MIN, _mackinnon_pvalue
 
 
 def test_load_csv_groups_by_id(tmp_path):
@@ -110,6 +111,22 @@ def test_adf_matches_statsmodels_reference():
         assert abs(mine.statistic - stat) < 1e-6
         assert mine.lag_used == lag
         assert abs(mine.p_value - pval) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "stat, pvalue",
+    # MacKinnon's constant-only asymptotic 1%, 5% and 10% critical values
+    [(-3.4304, 0.01), (-2.8621, 0.05), (-2.5671, 0.10)],
+)
+def test_mackinnon_pvalue_at_critical_values(stat, pvalue):
+    assert _mackinnon_pvalue(stat) == pytest.approx(pvalue, abs=1e-3)
+
+
+def test_mackinnon_pvalue_clamps_outside_table():
+    assert _mackinnon_pvalue(_TAU_MAX + 1e-9) == 1.0
+    assert _mackinnon_pvalue(_TAU_MAX + 5.0) == 1.0
+    assert _mackinnon_pvalue(_TAU_MIN - 1e-9) == 0.0
+    assert _mackinnon_pvalue(_TAU_MIN - 5.0) == 0.0
 
 
 def test_mean_acf_square_wave_oracle():
