@@ -141,10 +141,14 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndar
     Parameters the loss does not reach get zero gradients. The sweep pops
     every record off ``tape``, so the tape is swept once and left empty,
     and it drops each record's output gradient once the rule has used it.
+    Gradients of constant leaves (inputs that are neither parameters nor
+    produced on the tape) are dropped as soon as a rule returns them.
     """
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    wanted = {id(p) for p in params}
+    wanted.update(id(out) for _, out, _, _ in tape.records)
     # Keys whose gradient is a buffer this sweep allocated. Only those are
     # added into in place: a rule may hand the same array to several
     # inputs (add returns its ``g`` to both), or pass its own ``g`` on.
@@ -158,9 +162,9 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndar
             continue
         owned.discard(key)
         for tensor, g_in in zip(inputs, rule(g_out)):
-            if g_in is None:
-                continue
             key = id(tensor)
+            if g_in is None or key not in wanted:
+                continue
             held = grads.get(key)
             if held is None:
                 grads[key] = g_in

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateInput,
@@ -186,12 +187,40 @@ def _lagged_design(x: np.ndarray, lags: int) -> tuple[np.ndarray, np.ndarray]:
     return dx[-nobs:], np.column_stack(cols)
 
 
+def _lag_ssrs(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Residual sums of squares of the AIC lag search, for ``p = 0..max_lag``.
+
+    Candidate ``p`` regresses the first difference on ``[const, level_{t-1},
+    diff lags 1..p]`` over the ``max_lag``-trimmed sample, so all candidates
+    share observations and each design is a column prefix of the next. One
+    QR of the augmented design ``[const, level, diff lags 1..max_lag, y]``
+    gives them all: with ``z = R[:-1, -1]``, dropping trailing regressors
+    adds their ``z_j**2`` back to the full fit's ``R[-1, -1]**2``.
+    """
+    dx = np.diff(x)
+    lagged = sliding_window_view(dx, max_lag + 1)  # row t: dx[t], ..., dx[t + max_lag]
+    k = max_lag + 2
+    aug = np.empty((lagged.shape[0], k + 1), order="F")  # LAPACK's layout
+    aug[:, 0] = 1.0
+    aug[:, 1] = x[max_lag:-1]
+    aug[:, 2:k] = lagged[:, -2::-1]
+    aug[:, k] = lagged[:, -1]
+    r = np.linalg.qr(aug, mode="r")
+    z2 = r[2:k, k] ** 2
+    tail = np.cumsum(z2[::-1])[::-1]
+    return r[k, k] ** 2 + np.append(tail, 0.0)
+
+
 def adf_test(values: np.ndarray, alpha: float = ADF_ALPHA, max_lag: int | None = None) -> AdfReport:
     """Augmented Dickey-Fuller test with a constant-only regression.
 
     The difference-lag order is chosen by AIC over ``0..max_lag`` (Schwert's
     ``12 * (n/100)^{1/4}`` bound by default) on a common sample, then the
     regression is refit at the chosen order on the longest usable sample.
+    The candidates' residual sums of squares all come from one QR
+    factorisation of the augmented design ``[const, level, diff lags
+    1..max_lag, y]``. An exact fit (a residual sum of squares of exactly
+    0) scores an AIC of ``-inf``, so the smallest exact-fit order wins.
     The p-value comes from the MacKinnon approximate response surface.
     """
     x = np.asarray(values, dtype=np.float64)
@@ -205,21 +234,13 @@ def adf_test(values: np.ndarray, alpha: float = ADF_ALPHA, max_lag: int | None =
     if max_lag is None:
         max_lag = int(math.ceil(12.0 * (n / 100.0) ** 0.25))
         max_lag = min(n // 2 - 2, max_lag)
-    if max_lag < 0:
+    nobs = n - 1 - max_lag
+    if max_lag < 0 or nobs < max_lag + 3:
         raise ValueError("series too short for the lag search")
-
-    # Lag order by AIC on the max_lag-trimmed sample so candidates share
-    # observations; nested regressors [const, level, diff lags 0..max_lag].
-    y_sel, X_sel = _lagged_design(x, max_lag)
-    full = np.column_stack([np.ones_like(y_sel), X_sel])
-    nobs = y_sel.size
     best = None
-    for p in range(max_lag + 1):
-        Xp = full[:, : 2 + p]
-        beta, *_ = np.linalg.lstsq(Xp, y_sel, rcond=None)
-        resid = y_sel - Xp @ beta
-        ssr = float(resid @ resid)
-        aic = nobs * math.log(ssr / nobs) + 2.0 * (2 + p)
+    for p, ssr in enumerate(_lag_ssrs(x, max_lag).tolist()):
+        fit = nobs * math.log(ssr / nobs) if ssr > 0.0 else -math.inf
+        aic = fit + 2.0 * (2 + p)
         if best is None or (aic, p) < best:
             best = (aic, p)
     lag_used = best[1]

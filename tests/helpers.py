@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from specbench.autodiff import Tape, Tensor, _emit, add, backward, mul, recording
+from specbench.preprocess import _lagged_design
 from specbench.series import Windows
 
 
@@ -155,6 +156,22 @@ def fd_gradcheck(
     return worst
 
 
+def backward_keeping_every_gradient(tape: Tape, loss: Tensor, params) -> list[np.ndarray]:
+    """The reverse sweep before it dropped constant leaves' gradients: every
+    input a rule reaches keeps its gradient until the sweep ends."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    while tape.records:
+        _, out, inputs, rule = tape.records.pop()
+        g_out = grads.pop(id(out), None)
+        if g_out is None:
+            continue
+        for tensor, g_in in zip(inputs, rule(g_out)):
+            if g_in is not None:
+                key = id(tensor)
+                grads[key] = g_in if key not in grads else grads[key] + g_in
+    return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
+
+
 def bare_layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
     """The gain-free normalisation primitive ``layer_norm`` grew out of."""
     mu = a.data.mean(axis=axis, keepdims=True)
@@ -198,3 +215,40 @@ def adam_step_reference(params, grads, state, lr=1e-4, beta1=0.9, beta2=0.999, e
         m_hat = m / correction1
         v_hat = v / correction2
         param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def ar1_series(noise: np.ndarray, phi: float = 0.5) -> np.ndarray:
+    """``x_t = phi * x_{t-1} + noise_t`` started at ``noise_0``."""
+    x = np.empty_like(noise)
+    x[0] = noise[0]
+    for t in range(1, noise.size):
+        x[t] = phi * x[t - 1] + noise[t]
+    return x
+
+
+def adf_oracle_series() -> dict[str, np.ndarray]:
+    """Seeded AR(1) (phi = 0.5), random-walk and sinusoid-plus-noise series
+    of 300, 500 and 1056 samples, keyed ``"{kind}_{n}"``."""
+    series = {}
+    for seed, n in enumerate((300, 500, 1056)):
+        rng = np.random.default_rng([41, seed])
+        series[f"ar1_{n}"] = ar1_series(rng.normal(size=n))
+        series[f"walk_{n}"] = np.cumsum(rng.normal(size=n))
+        phase = 2.0 * np.pi * np.arange(n) / 24.0
+        series[f"sine_{n}"] = np.sin(phase) + 0.5 * rng.normal(size=n)
+    return series
+
+
+def adf_lag_ssrs_reference(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Residual sums of squares of the ADF lag search, one ``lstsq`` fit per
+    candidate: the first difference on [const, level, diff lags 1..p] over
+    the ``max_lag``-trimmed sample, for p = 0..max_lag."""
+    y, X = _lagged_design(np.asarray(x, dtype=np.float64), max_lag)
+    full = np.column_stack([np.ones_like(y), X])
+    ssrs = []
+    for p in range(max_lag + 1):
+        Xp = full[:, : 2 + p]
+        beta, *_ = np.linalg.lstsq(Xp, y, rcond=None)
+        resid = y - Xp @ beta
+        ssrs.append(float(resid @ resid))
+    return np.array(ssrs)

@@ -333,7 +333,11 @@ def test_criterion_9_preprocessing_oracle():
         stat, pval, lag, *_ = adfuller(x, regression="c", autolag="AIC")
         assert abs(mine.statistic - stat) < 1e-6
         assert mine.stationary == bool(pval < ADF_ALPHA)
+    assert within(), "criterion 9 exceeded its 60 s budget"
 
+
+def test_criterion_9_stationarity_rejection_rate():
+    within = _deadline(60.0)
     correct = 0
     trials = 200
     rng = np.random.default_rng(110)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,10 @@ from specbench.errors import (
     TooShort,
     ZeroVariance,
 )
-from specbench.preprocess import _TAU_MAX, _TAU_MIN, _mackinnon_pvalue
+from specbench import preprocess
+from specbench.preprocess import _TAU_MAX, _TAU_MIN, _lag_ssrs, _mackinnon_pvalue
+
+from helpers import adf_lag_ssrs_reference, adf_oracle_series, ar1_series
 
 
 def test_load_csv_groups_by_id(tmp_path):
@@ -113,6 +118,81 @@ def test_adf_matches_statsmodels_reference():
         assert abs(mine.p_value - pval) < 1e-6
 
 
+def _schwert_max_lag(n):
+    return min(n // 2 - 2, int(math.ceil(12.0 * (n / 100.0) ** 0.25)))
+
+
+def test_lag_ssrs_match_per_lag_lstsq_reference():
+    for name, x in adf_oracle_series().items():
+        max_lag = _schwert_max_lag(x.size)
+        reference = adf_lag_ssrs_reference(x, max_lag)
+        np.testing.assert_allclose(_lag_ssrs(x, max_lag), reference, rtol=1e-12, err_msg=name)
+        nobs = x.size - 1 - max_lag
+        aics = [(nobs * math.log(ssr / nobs) + 2.0 * (2 + p), p) for p, ssr in enumerate(reference)]
+        assert adf_test(x).lag_used == min(aics)[1], name
+
+
+# (statistic, lag_used, p_value) of adf_test before the lag search moved to
+# one QR factorisation, when every candidate had its own lstsq fit
+ADF_GOLDEN = {
+    "ar1_300": (-5.3987748058895635, 5, 3.40733191084297e-06),
+    "walk_300": (-1.8166381023238867, 5, 0.37223318288112195),
+    "sine_300": (-8.401628806051312, 16, 2.223221606811876e-13),
+    "ar1_500": (-13.90994895402242, 0, 0.0),
+    "walk_500": (-3.1374427125860964, 1, 0.023903514235884937),
+    "sine_500": (-10.907482681555997, 14, 0.0),
+    "ar1_1056": (-9.18054263479438, 11, 2.275957200481571e-15),
+    "walk_1056": (-1.3490051478198186, 0, 0.6064651199133716),
+    "sine_1056": (-6.585403653383372, 22, 7.336180607442344e-09),
+}
+
+
+def test_adf_golden_reports():
+    series = adf_oracle_series()
+    assert sorted(series) == sorted(ADF_GOLDEN)
+    for name, (statistic, lag_used, p_value) in ADF_GOLDEN.items():
+        report = adf_test(series[name])
+        assert report.lag_used == lag_used, name
+        assert report.statistic == pytest.approx(statistic, rel=1e-9), name
+        assert report.p_value == pytest.approx(p_value, rel=1e-9, abs=1e-300), name
+        assert report.stationary == name.startswith(("ar1", "sine")), name
+
+
+def test_adf_rejects_ar1_and_keeps_random_walks():
+    ar1_rejected = walks_kept = 0
+    for seed in range(20):
+        noise = np.random.default_rng([43, seed]).normal(size=1056)
+        ar1_rejected += adf_test(ar1_series(noise)).stationary
+        walks_kept += not adf_test(np.cumsum(noise)).stationary
+    assert ar1_rejected == 20
+    assert walks_kept >= 19
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.arange(200.0), 2.0 * np.arange(200.0), (-1.0) ** np.arange(200)],
+    ids=["ramp", "steep_ramp", "alternating"],
+)
+def test_adf_exact_fit_inputs_report(values):
+    report = adf_test(values)
+    assert 0.0 <= report.p_value <= 1.0
+    assert 0 <= report.lag_used <= _schwert_max_lag(values.size)
+
+
+def test_adf_exact_zero_ssr_picks_first_exact_fit(monkeypatch):
+    # statsmodels scores log(0) as -inf, so the smallest exact-fit order wins
+    monkeypatch.setattr(preprocess, "_lag_ssrs", lambda x, max_lag: np.array([1.0, 0.0, 0.5, 0.0]))
+    x = np.random.default_rng(27).normal(size=200)
+    assert adf_test(x, max_lag=3).lag_used == 1
+
+
+def test_adf_rejects_lag_search_without_residual_freedom():
+    x = np.random.default_rng(28).normal(size=30)
+    adf_test(x, max_lag=13)
+    with pytest.raises(ValueError, match="too short"):
+        adf_test(x, max_lag=14)
+
+
 @pytest.mark.parametrize(
     "stat, pvalue",
     # MacKinnon's constant-only asymptotic 1%, 5% and 10% critical values
@@ -184,6 +264,14 @@ def test_select_series_prefers_periodic_over_walks():
     segs = [_sinusoid_segment(i) for i in range(4)] + [_walk_segment(i) for i in range(4)]
     kept = select_series(segs, keep=4, nlags=8)
     assert all(s.parent_id == "sine" for s in kept)
+
+
+def test_select_series_survives_exact_fit_segment():
+    rng = np.random.default_rng(29)
+    segs = [Segment("noise", i, rng.normal(size=1056)) for i in range(3)]
+    segs.append(Segment("ramp", 0, np.arange(1056.0)))
+    kept = select_series(segs, keep=3, nlags=8)
+    assert [s.parent_id for s in kept] == ["noise"] * 3
 
 
 def test_select_series_not_enough_stationary():

@@ -18,11 +18,19 @@ from specbench.models import (
     predict,
     predict_quantiles,
 )
+from specbench.models import training
 from specbench.models.networks import build_network
 from specbench.models.losses import mae_loss, mse_loss, huber_loss, student_t_nll
 from specbench.optim import rng_stream
 
-from helpers import fd_gradcheck, kink_margin, kink_safe_targets, stack_windows, take
+from helpers import (
+    backward_keeping_every_gradient,
+    fd_gradcheck,
+    kink_margin,
+    kink_safe_targets,
+    stack_windows,
+    take,
+)
 
 
 def _sine_windows(count, l, h, seed=0, freq=16.0, noise=0.0):
@@ -142,6 +150,19 @@ def test_fit_determinism_bit_identical():
     for name in a.params:
         np.testing.assert_array_equal(a.params[name], b.params[name])
     assert a.history == b.history
+
+
+def test_dropout_fit_unchanged_by_dropping_constant_gradients(monkeypatch):
+    train = _sine_windows(24, 16, 4, seed=1, noise=0.2)
+    valid = _sine_windows(4, 16, 4, seed=2, noise=0.2)
+    cfg = _tiny_transformer()
+    tc = TrainConfig(max_steps=6, val_check_every=3, windows_batch=8, seed=5, dropout=0.1)
+    lean = fit(cfg, train, valid, tc)
+    monkeypatch.setattr(training, "backward", backward_keeping_every_gradient)
+    kept = fit(cfg, train, valid, tc)
+    assert lean.history == kept.history
+    for name in lean.params:
+        np.testing.assert_array_equal(lean.params[name], kept.params[name])
 
 
 def test_fit_seed_changes_parameters():
