@@ -2,19 +2,18 @@
 
 A composed signal is decomposed into its sinusoid basis; the benchmark
 trains only on those basis series and asks models to forecast the
-composition zero-shot. This script builds both the traditional (ID) and
-compositional (OOD) splits and shows they share the same test windows.
+composition zero-shot. This script splits the series as a run does, once
+per paradigm (ID trains on the series, OOD on its basis), and shows that
+both share the same test windows.
 """
 import numpy as np
 
 from specbench import (
     ForecastTask,
-    build_compositional_split,
-    compositional_basis,
     dft,
     gen_sinusoid_dataset,
     partial_sum,
-    split_traditional,
+    split_windows,
     top_k_components,
 )
 
@@ -34,21 +33,22 @@ for comp, part in zip(top_k_components(dec, 2), dataset.components[0]):
 task = ForecastTask(context_len=256, horizon=192)
 T = len(series) - task.horizon
 
-id_split = split_traditional(series, task, split_point=T)
-ood_split = build_compositional_split(series, task, k=2, split_point=T)
-print(f"ID  split: {len(id_split.train)} train windows, {len(id_split.test)} test")
-print(f"OOD split: {len(ood_split.train)} train windows (2 basis series), "
-      f"{len(ood_split.test)} test")
+id_split = split_windows(series, task, split_point=T)
+ood_split = split_windows(series, task, split_point=T, dec=dec, k=2)
+# the last horizon before T is held out of training as the validation slice
+print(f"ID  split: {len(id_split.train)} train, {len(id_split.valid)} valid, "
+      f"{len(id_split.test)} test windows")
+print(f"OOD split: {len(ood_split.train)} train, {len(ood_split.valid)} valid "
+      f"(2 basis series), {len(ood_split.test)} test windows")
 
 same = np.array_equal(id_split.test.anchors, ood_split.test.anchors) and np.array_equal(
     id_split.test.targets, ood_split.test.targets
 )
 print(f"test windows identical across paradigms: {same}")
 
-# The recovered basis series sum back to the composition everywhere,
+# The top-2 basis series sum back to the composition everywhere,
 # including the unseen test region.
-basis = compositional_basis(series, 2)
-recon = basis[0].values + basis[1].values
+recon = partial_sum(dec, 2, (0, len(series)))
 print(f"max |basis sum - composed| = {np.abs(recon - series.values).max():.2e}")
 
 anchor, target = ood_split.test.anchors[0], ood_split.test.targets[0]

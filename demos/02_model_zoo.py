@@ -6,10 +6,7 @@ budgets keep this demo to a couple of minutes.
 """
 import numpy as np
 
-from specbench import (
-    ForecastTask, Windows, compositional_basis, gen_sinusoid_dataset, mae, make_windows,
-)
-from specbench.harness.runner import _train_val_windows
+from specbench import ForecastTask, Windows, gen_sinusoid_dataset, mae, split_windows
 from specbench.models import (
     Family,
     ModelConfig,
@@ -24,14 +21,10 @@ task = ForecastTask(context_len=256, horizon=192)
 dataset = gen_sinusoid_dataset(n_series=3, seed=1)
 T = 1008
 
-train, val, tests = [], [], []
-for series in dataset.composed:
-    for basis in compositional_basis(series, 2):
-        tr, va = _train_val_windows(basis, task, T, stride=1)
-        train.append(tr)
-        val.append(va)
-    tests.append(make_windows(series, task, 1, (T - task.context_len, len(series))))
-train, val, tests = Windows.concat(train), Windows.concat(val), Windows.concat(tests)
+splits = [split_windows(series, task, T, k=2) for series in dataset.composed]
+train = Windows.concat([split.train for split in splits])
+val = Windows.concat([split.valid for split in splits])
+tests = Windows.concat([split.test for split in splits])
 print(f"{len(train)} basis train windows, {len(tests)} composed test windows")
 
 zoo = {

@@ -11,7 +11,7 @@ budgets).
 """
 import numpy as np
 
-from specbench import ForecastTask, Windows, linear_cka, make_windows
+from specbench import ForecastTask, Windows, linear_cka, split_windows
 from specbench.models import Family, ModelConfig, TrainConfig, embed, fit
 from specbench.synthgen import SyntheticVariant, gen_trend_dataset
 
@@ -35,22 +35,19 @@ cfg = ModelConfig(
 )
 tc = TrainConfig(max_steps=150, val_check_every=50, windows_batch=32, seed=1)
 
-# each composed series' last context, one row per series
+# each composed series' single test window at T = n - h: its last context
 contexts = np.concatenate([
-    make_windows(series, task, 1, (len(series) - task.horizon - task.context_len,
-                                   len(series))).contexts
+    split_windows(series, task, len(series) - task.horizon).test.contexts
     for series in dataset.composed
 ])
 
 embeddings = {}
 for name, groups in variants.items():
-    train, val = [], []
-    for parts in groups:
-        for part in parts:
-            T = len(part) - task.horizon
-            train.append(make_windows(part, task, 1, (0, T - task.horizon)))
-            val.append(make_windows(part, task, 1, (T - task.horizon - task.context_len, T)))
-    train, val = Windows.concat(train), Windows.concat(val)
+    splits = [
+        split_windows(part, task, len(part) - task.horizon) for parts in groups for part in parts
+    ]
+    train = Windows.concat([split.train for split in splits])
+    val = Windows.concat([split.valid for split in splits])
     model = fit(cfg, train, val, tc)
     embeddings[name] = embed(model, contexts).reshape(len(contexts), -1)
     print(f"trained {name:13s} on {len(train)} windows")

@@ -8,21 +8,11 @@ basis-win metrics, rank statistics, and representation similarity.
 from __future__ import annotations
 
 from . import errors
-from .series import (
-    ForecastTask,
-    SplitDataset,
-    SplitMode,
-    TimeSeries,
-    Windows,
-    make_windows,
-    split_traditional,
-)
+from .series import ForecastTask, TimeSeries, Windows, make_windows
 from .spectral import (
     BasisComponent,
     SpectralDecomposition,
     basis_series,
-    build_compositional_split,
-    compositional_basis,
     dft,
     partial_sum,
     reconstruct_full,
@@ -67,16 +57,16 @@ from .evaluation import (
 )
 from . import models
 from . import harness
+from .harness.runner import SplitDataset, split_windows
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "TimeSeries", "ForecastTask", "Windows", "SplitDataset", "SplitMode",
-    "make_windows", "split_traditional",
+    "TimeSeries", "ForecastTask", "Windows", "SplitDataset", "make_windows",
+    "split_windows",
     "SpectralDecomposition", "BasisComponent", "dft", "reconstruct_full",
     "sorted_components", "top_k_components", "basis_series", "partial_sum",
-    "compositional_basis", "build_compositional_split",
     "SinusoidKind", "SinusoidSpec", "TrendSpec", "SyntheticVariant",
     "SyntheticDataset", "gen_sinusoid", "gen_trend", "gen_sinusoid_dataset",
     "gen_trend_dataset",

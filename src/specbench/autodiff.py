@@ -142,7 +142,7 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndar
     every record off ``tape``, so the tape is swept once and left empty,
     and it drops each record's output gradient once the rule has used it.
     Gradients of constant leaves (inputs that are neither parameters nor
-    produced on the tape) are dropped as soon as a rule returns them.
+    produced on the tape) are dropped before the next rule runs.
     """
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
@@ -173,6 +173,7 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndar
             else:
                 grads[key] = held + g_in
                 owned.add(key)
+        g_in = None  # else the last returned gradient outlives the next rule
     return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
 
 

@@ -30,7 +30,7 @@ from ..series import ForecastTask, TimeSeries, Windows
 from ..synthgen import DEFAULT_LENGTH
 from .expconfig import load_config
 from .plotting import plot_forecast
-from .runner import RunResult, _train_val_windows, aggregate, run_matrix, synthetic_dataset
+from .runner import _read_runs, aggregate, run_matrix, split_windows, synthetic_dataset
 
 __all__ = ["main"]
 
@@ -113,12 +113,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    results_dir = Path(args.results)
     forecasts: dict[str, np.ndarray] = {}
     context = target = None
     chosen = None
-    for path in sorted(results_dir.glob("*.json")):
-        run = RunResult.from_json(path.read_text(encoding="utf-8"))
+    for run in _read_runs(Path(args.results)):
         if run.error or not run.example:
             continue
         if args.dataset and run.dataset != args.dataset:
@@ -161,17 +159,15 @@ def _cmd_cka(args) -> int:
     tc = TrainConfig(max_steps=args.steps, val_check_every=max(1, args.steps // 4),
                      windows_batch=args.windows_batch, seed=args.seed)
     embeddings: dict[str, np.ndarray] = {}
-    # each composed series' last context: the one before its final horizon
-    h, l = task.horizon, task.context_len
-    contexts = np.stack([s.values[len(s) - h - l : len(s) - h] for s in dataset.composed])
+    h = task.horizon
+    # each composed series' single test window at T = n - h: its last context
+    contexts = np.concatenate(
+        [split_windows(s, task, len(s) - h).test.contexts for s in dataset.composed]
+    )
     for name, groups in variants.items():
-        splits = [
-            _train_val_windows(part, task, len(part) - h, 1)
-            for parts in groups
-            for part in parts
-        ]
-        train = Windows.concat([tr for tr, _ in splits])
-        val = Windows.concat([va for _, va in splits])
+        splits = [split_windows(part, task, len(part) - h) for parts in groups for part in parts]
+        train = Windows.concat([split.train for split in splits])
+        val = Windows.concat([split.valid for split in splits])
         _emit(event="cka_fit", variant=name, windows=len(train))
         model = fit(cfg, train, val, tc)
         embeddings[name] = embed(model, contexts).reshape(len(contexts), -1)

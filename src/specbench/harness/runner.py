@@ -19,6 +19,7 @@ import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -35,13 +36,13 @@ from ..models import count_params, estimate_flops, fit, predict
 from ..models.config import encode_field
 from ..preprocess import load_csv
 from ..series import ForecastTask, TimeSeries, Windows, make_windows
-from ..spectral import basis_series, dft, top_k_components
+from ..spectral import SpectralDecomposition, basis_series, dft, top_k_components
 from ..synthgen import SyntheticDataset, SyntheticVariant, gen_sinusoid_dataset, gen_trend_dataset
 from .expconfig import DatasetSpec, ExperimentConfig, ModelSpec, load_config
 
 __all__ = [
-    "RESULT_SCHEMA", "RunResult", "run_id", "run_matrix", "aggregate", "resolve_dataset",
-    "synthetic_dataset",
+    "RESULT_SCHEMA", "RunResult", "SplitDataset", "run_id", "run_matrix", "aggregate",
+    "resolve_dataset", "split_windows", "synthetic_dataset",
 ]
 
 MODES = ("ID", "OOD")
@@ -138,14 +139,65 @@ def resolve_dataset(spec: DatasetSpec) -> list[TimeSeries]:
     return series
 
 
-def _train_val_windows(
-    series: TimeSeries, task: ForecastTask, split_point: int, stride: int
-) -> tuple[Windows, Windows]:
-    """Hold the last horizon-length slice of the train region out as validation."""
-    h, l = task.horizon, task.context_len
-    train = make_windows(series, task, stride, (0, split_point - h))
-    val = make_windows(series, task, stride, (split_point - h - l, split_point))
-    return train, val
+@dataclass(frozen=True)
+class SplitDataset:
+    """The windows one series gives a run: ``train`` and ``valid`` rows of
+    every training source, then ``test`` rows of the series itself."""
+
+    train: Windows
+    valid: Windows
+    test: Windows
+
+
+def split_windows(
+    series: TimeSeries,
+    task: ForecastTask,
+    split_point: int,
+    stride: int = 1,
+    dec: SpectralDecomposition | None = None,
+    k: int | None = None,
+) -> SplitDataset:
+    """Split one series at ``T = split_point`` as a run trains and scores it.
+
+    The training sources are the series itself (ID) or, given ``k``, its
+    top-k basis sinusoids over the series' full index range (OOD), taken
+    from ``dec``, the series' :func:`dft` (computed if not given). Each
+    source gives train windows over ``[0, T - h)`` and validation windows
+    over ``[T - h - l, T)``, so the last horizon before ``T`` is held out
+    of training. Test windows are the series' own over ``[T - l, n)``,
+    anchored at ``t >= T``. :func:`make_windows` raises RangeTooShort
+    unless ``T >= l + 2h`` and ``n >= T + h``.
+    """
+    train, valid, test = _source_windows(series, task, split_point, stride, dec, k)
+    return SplitDataset(Windows.concat(train), Windows.concat(valid), test)
+
+
+def _source_windows(
+    series: TimeSeries,
+    task: ForecastTask,
+    split_point: int,
+    stride: int,
+    dec: SpectralDecomposition | None,
+    k: int | None,
+) -> tuple[list[Windows], list[Windows], Windows]:
+    """:func:`split_windows` before it concatenates: each source's train and
+    valid windows, views of the source's values, and the test windows.
+    A run pools the views of all its series with one copy."""
+    l, h = task.context_len, task.horizon
+    if k is None:
+        sources = [series]
+    else:
+        dec = dec if dec is not None else dft(series.values)
+        sources = [
+            TimeSeries(series.id, basis_series(comp, dec.n, (0, len(series))))
+            for comp in top_k_components(dec, k)
+        ]
+    train, valid = [], []
+    for source in sources:
+        train.append(make_windows(source, task, stride, (0, split_point - h)))
+        valid.append(make_windows(source, task, stride, (split_point - h - l, split_point)))
+    test = make_windows(series, task, stride, (split_point - l, len(series)))
+    return train, valid, test
 
 
 def execute_run(
@@ -167,36 +219,23 @@ def execute_run(
         task = ForecastTask(model_cfg.context_len, cfg.task.horizon)
         series_list = resolve_dataset(spec)
 
-        train_parts: list[Windows] = []
-        val_parts: list[Windows] = []
-        per_series_test: list[tuple[TimeSeries, Windows]] = []
-        decs = {}
+        k = spec.k if mode == "OOD" else None
+        train: list[Windows] = []
+        valid: list[Windows] = []
+        tests, decs = [], []
         for series in series_list:
             T = cfg.split_point if cfg.split_point is not None else len(series) - task.horizon
-            decs[series.id] = dft(series.values)
-            if mode == "ID":
-                sources = [series]
-            else:
-                sources = [
-                    TimeSeries(
-                        id=f"{series.id}/w{comp.freq_index}",
-                        values=basis_series(comp, decs[series.id].n, (0, len(series))),
-                    )
-                    for comp in top_k_components(decs[series.id], spec.k)
-                ]
-            for source in sources:
-                tr, va = _train_val_windows(source, task, T, cfg.stride)
-                train_parts.append(tr)
-                val_parts.append(va)
-            per_series_test.append(
-                (series, make_windows(series, task, cfg.stride, (T - task.context_len, len(series))))
-            )
+            decs.append(dft(series.values))
+            tr, va, test = _source_windows(series, task, T, cfg.stride, decs[-1], k)
+            train += tr
+            valid += va
+            tests.append(test)
 
         tc = dataclasses.replace(cfg.train, seed=seed)
-        model = fit(model_cfg, Windows.concat(train_parts), Windows.concat(val_parts), tc)
+        model = fit(model_cfg, Windows.concat(train), Windows.concat(valid), tc)
 
         example: dict = {}
-        for series, test in per_series_test:
+        for series, test, dec in zip(series_list, tests, decs):
             forecasts = predict(model, test.contexts)
             if not example:
                 example = {
@@ -210,7 +249,7 @@ def execute_run(
                 mae(y, yhat) for y, yhat in zip(test.targets, forecasts)
             ])))
             bounds = np.stack([test.anchors, test.anchors + task.horizon], axis=1)
-            reports = basis_win_report(test.targets, forecasts, decs[series.id], bounds)
+            reports = basis_win_report(test.targets, forecasts, dec, bounds)
             result.per_series_k_max.append(float(np.mean([r.k_max for r in reports])))
 
         result.n_series = len(series_list)
@@ -241,6 +280,15 @@ def _read_run(path: Path) -> RunResult | None:
         return RunResult.from_json(path.read_text(encoding="utf-8"))
     except (OSError, ValueError, KeyError, TypeError):
         return None
+
+
+def _read_runs(results_dir: Path) -> Iterator[RunResult]:
+    """Every run stored under ``results_dir``, in file-name order."""
+    for path in sorted(results_dir.glob("*.json")):
+        run = _read_run(path)
+        if run is None:
+            raise SpecbenchError(f"run file {path} is unreadable")
+        yield run
 
 
 try:  # glibc only; elsewhere freed memory is left to the allocator
@@ -338,15 +386,6 @@ def run_matrix(
     return [results[rid] for rid in ids]
 
 
-def _population_std(values: list[float]) -> float:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(np.sqrt(np.mean((arr - arr.mean()) ** 2)))
-
-
-def _midrank_positions(scores: list[float]) -> list[float]:
-    return _midranks(np.asarray(scores, dtype=np.float64)).tolist()
-
-
 def aggregate(results_dir: str | Path, cd_alpha: float = 0.05) -> dict:
     """Fold a directory of run files into one report document.
 
@@ -355,13 +394,9 @@ def aggregate(results_dir: str | Path, cd_alpha: float = 0.05) -> dict:
     3 models and 3 datasets are complete) the Friedman test and the
     Wilcoxon-Holm grouping; the signed-rank test needs 3 paired datasets.
     """
-    results_dir = Path(results_dir)
     runs = []
     errors = []
-    for path in sorted(results_dir.glob("*.json")):
-        run = _read_run(path)
-        if run is None:
-            raise SpecbenchError(f"run file {path} is unreadable")
+    for run in _read_runs(Path(results_dir)):
         if run.error is not None:
             errors.append({"run_id": run.run_id, "dataset": run.dataset,
                            "model": run.model, "seed": run.seed, "mode": run.mode,
@@ -391,7 +426,7 @@ def aggregate(results_dir: str | Path, cd_alpha: float = 0.05) -> dict:
                 maes = [r.mae for r in group]
                 cells[f"{dataset}|{model}|{mode}"] = {
                     "mae_mean": float(np.mean(maes)),
-                    "mae_std": _population_std(maes),
+                    "mae_std": float(np.std(maes)),
                     "k_max_mean": float(np.mean([r.k_max for r in group])),
                     "threshold_pass": bool(np.mean([r.k_max for r in group]) >= BASIS_WIN_THRESHOLD),
                     "n_seeds": len(group),
@@ -408,7 +443,7 @@ def aggregate(results_dir: str | Path, cd_alpha: float = 0.05) -> dict:
         per_dataset_ranks = []
         for dataset in datasets:
             scores = [cells[f"{dataset}|{m}|{mode}"]["mae_mean"] for m in models]
-            ranks = _midrank_positions(scores)
+            ranks = _midranks(np.asarray(scores, dtype=np.float64)).tolist()
             per_dataset_ranks.append(ranks)
             for m, rank in zip(models, ranks):
                 if rank <= 3:

@@ -1,9 +1,9 @@
 """Parameter counts and analytic forward-pass cost estimates."""
 from __future__ import annotations
 
-from .config import Decomposition, Family, Head, LossKind, ModelConfig, Tokenization
-from .networks import DLinear
-from .config import MOVING_AVG_KERNEL
+from .config import (
+    MOVING_AVG_KERNEL, Decomposition, Family, Head, LossKind, ModelConfig, Tokenization,
+)
 from .tokenizers import token_count, token_dim
 from .training import TrainedModel
 
@@ -54,7 +54,7 @@ def estimate_flops(cfg: ModelConfig) -> int:
     if cfg.family is Family.NLINEAR:
         return l * h
     if cfg.family is Family.DLINEAR:
-        return 2 * l * h + l * DLinear.KERNEL
+        return 2 * l * h + l * MOVING_AVG_KERNEL
     if cfg.family is Family.MLP:
         w = cfg.mlp_hidden
         return l * w + (cfg.mlp_depth - 1) * w * w + w * h

@@ -44,17 +44,6 @@ STATISTICAL_FAMILIES = frozenset(
     {Family.NAIVE_LAST, Family.SEASONAL_NAIVE, Family.SES, Family.HOLT, Family.AR_LS}
 )
 
-TRAINABLE_FAMILIES = frozenset(
-    {
-        Family.NLINEAR,
-        Family.DLINEAR,
-        Family.MLP,
-        Family.NBEATS_LITE,
-        Family.NHITS_LITE,
-        Family.PATCH_TRANSFORMER,
-    }
-)
-
 
 class Tokenization(Enum):
     NONE = "NONE"
@@ -111,8 +100,6 @@ SIZE_TABLE: dict[ModelSize, tuple[int, int, int, int]] = {
     ModelSize.SMALL: (512, 2048, 6, 8),
     ModelSize.BASE: (768, 3072, 12, 12),
 }
-
-PATCH_LENGTHS = (8, 16, 32, 64, 96, 128)
 
 MOVING_AVG_KERNEL = 25
 BINNING_BINS = 256
@@ -201,10 +188,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings; the step budget defaults to the desk-scale 2000
-    (``PAPER_MAX_STEPS`` is the full-scale budget)."""
-
-    PAPER_MAX_STEPS = 10000
+    """Optimization settings; the step budget defaults to the desk-scale 2000."""
 
     lr: float = 1e-4
     windows_batch: int = 256

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..autodiff import Tensor, add, matmul, relu
 from ..optim import uniform_fan_in
-from .config import Family, ModelConfig
+from .config import MOVING_AVG_KERNEL, Family, ModelConfig
 
 __all__ = ["moving_average_split", "build_network", "interp_matrix", "pool_matrix"]
 
@@ -85,8 +85,6 @@ class NLinear:
 class DLinear:
     """Moving-average trend/seasonal split with one linear map per branch."""
 
-    KERNEL = 25
-
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
@@ -94,7 +92,7 @@ class DLinear:
         _linear(rng, "trend", self.params, cfg.context_len, cfg.horizon)
 
     def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
-        trend, seasonal = moving_average_split(scaled, self.KERNEL)
+        trend, seasonal = moving_average_split(scaled, MOVING_AVG_KERNEL)
         return _apply(self.params, "seasonal", Tensor(seasonal)) + _apply(
             self.params, "trend", Tensor(trend)
         )

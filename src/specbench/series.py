@@ -1,14 +1,11 @@
-"""Time series containers, windowing, and traditional train/test splits.
+"""Time series containers and windowing.
 
 A window anchored at time ``t`` pairs the context ``y[t-l:t]`` with the
-target ``y[t:t+h]`` (half-open slices), so a traditional split at ``T``
-puts every training target strictly inside ``[0, T)`` and anchors every
-test window at ``t >= T``.
+target ``y[t:t+h]`` (half-open slices).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -18,10 +15,7 @@ __all__ = [
     "TimeSeries",
     "ForecastTask",
     "Windows",
-    "SplitMode",
-    "SplitDataset",
     "make_windows",
-    "split_traditional",
 ]
 
 
@@ -95,24 +89,6 @@ class Windows:
         )
 
 
-class SplitMode(Enum):
-    ID = "ID"
-    OOD_COMPOSITIONAL = "OOD_COMPOSITIONAL"
-
-
-@dataclass(frozen=True)
-class SplitDataset:
-    """Train/test window sets for one series under one paradigm."""
-
-    train: Windows
-    test: Windows
-    mode: SplitMode
-
-    def __post_init__(self):
-        if not self.test:
-            raise ValueError("SplitDataset.test must be non-empty")
-
-
 def make_windows(
     series: TimeSeries,
     task: ForecastTask,
@@ -142,26 +118,3 @@ def make_windows(
         )
     rows = np.lib.stride_tricks.sliding_window_view(series.values[lo:hi], l + h)[::stride]
     return Windows(rows[:, :l], rows[:, l:], np.arange(lo + l, hi - h + 1, stride))
-
-
-def split_traditional(
-    series: TimeSeries,
-    task: ForecastTask,
-    split_point: int,
-    stride: int = 1,
-) -> SplitDataset:
-    """Split one series at ``T``: train targets end by ``T``, test anchors at ``>= T``.
-
-    Requires ``T >= l + h`` (at least one train window) and
-    ``len(series) >= T + h`` (at least one test window).
-    """
-    l, h = task.context_len, task.horizon
-    T = split_point
-    n = len(series)
-    if T < l + h:
-        raise RangeTooShort(f"split point {T} below minimum l+h = {l + h}")
-    if n < T + h:
-        raise RangeTooShort(f"series length {n} leaves no test window after T={T}")
-    train = make_windows(series, task, stride, (0, T))
-    test = make_windows(series, task, stride, (T - l, n))
-    return SplitDataset(train=train, test=test, mode=SplitMode.ID)

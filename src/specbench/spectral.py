@@ -1,4 +1,4 @@
-"""Discrete Fourier analysis and compositional split construction.
+"""Discrete Fourier analysis and the top-k basis sinusoids of a series.
 
 The forward transform uses the synthesis-friendly normalization
 ``c_w = (1/n) * sum_t y_t * exp(-i 2 pi w t / n)`` so that
@@ -16,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KTooLarge, NonFinite
-from .series import (
-    ForecastTask, SplitDataset, SplitMode, TimeSeries, Windows, make_windows, split_traditional,
-)
 
 __all__ = [
     "SpectralDecomposition",
@@ -31,8 +28,6 @@ __all__ = [
     "basis_series",
     "partial_sums",
     "partial_sum",
-    "compositional_basis",
-    "build_compositional_split",
 ]
 
 # Pair-collapsed amplitudes below max_amplitude * _NONZERO_RTOL are treated as
@@ -174,37 +169,3 @@ def partial_sums(
 def partial_sum(dec: SpectralDecomposition, k: int, bounds: tuple[int, int]) -> np.ndarray:
     """Pointwise sum of the top-k basis series over ``bounds``."""
     return partial_sums(_top_k_arrays(dec, k), dec.n, bounds)[-1]
-
-
-def compositional_basis(series: TimeSeries, k: int) -> list[TimeSeries]:
-    """The top-k basis sinusoids of ``series``, each as a full-length TimeSeries."""
-    dec = dft(series.values)
-    return [
-        TimeSeries(
-            id=f"{series.id}/w{comp.freq_index}",
-            values=basis_series(comp, dec.n, (0, dec.n)),
-        )
-        for comp in top_k_components(dec, k)
-    ]
-
-
-def build_compositional_split(
-    series: TimeSeries,
-    task: ForecastTask,
-    k: int,
-    split_point: int,
-    stride: int = 1,
-) -> SplitDataset:
-    """Zero-shot compositional split: train on basis sinusoids, test on the composition.
-
-    Train windows are drawn from each of the top-k basis series over
-    ``[0, T)`` (k times the per-series window count); test windows are the
-    original series' windows anchored at ``t >= T``, identical to the test
-    side of :func:`split_traditional`.
-    """
-    traditional = split_traditional(series, task, split_point, stride)
-    train = Windows.concat([
-        make_windows(basis, task, stride, (0, split_point))
-        for basis in compositional_basis(series, k)
-    ])
-    return SplitDataset(train=train, test=traditional.test, mode=SplitMode.OOD_COMPOSITIONAL)

@@ -19,8 +19,6 @@ from specbench import (
     ScoreMatrix,
     TimeSeries,
     basis_win_report,
-    build_compositional_split,
-    compositional_basis,
     dft,
     friedman,
     gen_sinusoid_dataset,
@@ -30,6 +28,7 @@ from specbench import (
     mae,
     partial_sum,
     reconstruct_full,
+    split_windows,
     topk_basis_win,
     wilcoxon_signed_rank,
 )
@@ -49,7 +48,6 @@ from specbench.models.losses import huber_loss, mae_loss, mse_loss, student_t_nl
 from specbench.models.networks import build_network
 from specbench.optim import rng_stream
 from specbench.preprocess import ACF_LAGS, ADF_ALPHA, PATCH_LEN, PATCH_STRIDE, adf_test
-from specbench.harness.runner import _train_val_windows
 from specbench.series import Windows
 
 from helpers import fd_gradcheck, kink_margin, kink_safe_targets, take
@@ -90,22 +88,27 @@ def test_criterion_2_compositional_split_exactness():
     within = _deadline(10.0)
     dataset = gen_sinusoid_dataset(seed=1)
     assert len(dataset.composed) == 100
+    h = SYNTH_TASK.horizon
     for series, parts in zip(dataset.composed, dataset.components):
-        basis = compositional_basis(series, 2)
-        by_freq = {}
-        for part in parts:
-            comp = dft(part.values)
-            idx = int(np.argmax(np.abs(comp.coeffs[: len(series) // 2 + 1])))
-            by_freq[idx] = part.values
-        for rec in basis:
-            freq = int(rec.id.rsplit("w", 1)[1])
-            assert freq in by_freq
-            assert np.abs(rec.values - by_freq[freq]).mean() < 1e-6
-
-        split = build_compositional_split(series, SYNTH_TASK, 2, SPLIT_POINT)
         dec = dft(series.values)
+        split = split_windows(series, SYNTH_TASK, SPLIT_POINT, dec=dec, k=2)
+        # the runner's OOD train rows: each basis source's windows in turn,
+        # and each source is one generator component
+        expected = [make_windows(part, SYNTH_TASK, 1, (0, SPLIT_POINT - h)) for part in parts]
+        per_source = len(expected[0])
+        assert len(split.train) == 2 * per_source
+        matched = []
+        for i in range(2):
+            rows = take(split.train, np.s_[i * per_source : (i + 1) * per_source])
+            matched += [
+                j for j, want in enumerate(expected)
+                if np.abs(rows.contexts - want.contexts).max() < 1e-6
+                and np.abs(rows.targets - want.targets).max() < 1e-6
+            ]
+        assert sorted(matched) == [0, 1]
+
         for anchor, target in zip(split.test.anchors, split.test.targets):
-            bounds = (anchor, anchor + SYNTH_TASK.horizon)
+            bounds = (anchor, anchor + h)
             assert np.abs(partial_sum(dec, 2, bounds) - target).max() < 1e-6
     assert within(), "criterion 2 exceeded its 10 s budget"
 
@@ -118,7 +121,7 @@ def test_criterion_3_metric_fidelity():
     dataset = gen_sinusoid_dataset(seed=1)
     for series in dataset.composed:
         dec = dft(series.values)
-        windows = make_windows(series, SYNTH_TASK, 1, (SPLIT_POINT - 256, len(series)))
+        windows = split_windows(series, SYNTH_TASK, SPLIT_POINT).test
         target, anchor = windows.targets[0], windows.anchors[0]
         bounds = (anchor, anchor + SYNTH_TASK.horizon)
         for k in (1, 2):
@@ -227,16 +230,10 @@ def test_criterion_5_gradient_integrity():
 def test_criterion_6_training_smoke():
     within = _deadline(15 * 60.0)
     dataset = gen_sinusoid_dataset(n_series=5, seed=1)
-    train, val, tests = [], [], []
-    for series in dataset.composed:
-        for basis in compositional_basis(series, 2):
-            tr, va = _train_val_windows(basis, SYNTH_TASK, SPLIT_POINT, 1)
-            train.append(tr)
-            val.append(va)
-        tests.append(
-            take(make_windows(series, SYNTH_TASK, 1, (SPLIT_POINT - 256, len(series))), [0])
-        )
-    train, val, tests = Windows.concat(train), Windows.concat(val), Windows.concat(tests)
+    splits = [split_windows(series, SYNTH_TASK, SPLIT_POINT, k=2) for series in dataset.composed]
+    train = Windows.concat([split.train for split in splits])
+    val = Windows.concat([split.valid for split in splits])
+    tests = Windows.concat([take(split.test, [0]) for split in splits])
     naive_mae = float(
         np.mean([np.abs(t - c[-1]).mean() for c, t in zip(tests.contexts, tests.targets)])
     )

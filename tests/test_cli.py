@@ -107,6 +107,18 @@ def test_eval_names_an_unreadable_run_file(tmp_path, capsys):
     assert broken.name in capsys.readouterr().err
 
 
+def test_plot_names_an_unreadable_run_file(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(CFG)
+    results = tmp_path / "results"
+    assert main(["run", "--config", str(cfg_path), "--out", str(results)]) == 0
+    broken = sorted(results.glob("*.json"))[-1]
+    broken.write_text(broken.read_text()[:40])
+    capsys.readouterr()
+    assert main(["plot", "--results", str(results), "--out", str(tmp_path / "f.svg")]) == 1
+    assert broken.name in capsys.readouterr().err
+
+
 def test_prep_selects_segments(tmp_path):
     rng = np.random.default_rng(5)
     rows = ["unique_id,ds,y"]

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specbench import (
-    ForecastTask, TimeSeries, build_compositional_split, make_windows, split_traditional,
-)
+from specbench import ForecastTask, TimeSeries, make_windows, split_windows
 from specbench.errors import KTooLarge, RangeTooShort
 from specbench.spectral import component_arrays, dft
 
@@ -62,32 +60,37 @@ def test_windows_are_exact_slices():
         np.testing.assert_array_equal(target, values[anchor : anchor + 3])
 
 
-def test_split_traditional_paper_shape():
+def test_split_windows_paper_shape():
     ts = series(np.random.default_rng(3).normal(size=1200))
     task = ForecastTask(256, 192)
-    split = split_traditional(ts, task, split_point=1008)
-    assert all(a + task.horizon <= 1008 for a in split.train.anchors)
-    assert all(a >= 1008 for a in split.test.anchors)
+    split = split_windows(ts, task, split_point=1008)
+    # train targets end one horizon before T; that horizon is the validation
+    assert split.train.anchors[-1] + task.horizon == 1008 - task.horizon
+    assert split.valid.anchors.tolist() == [1008 - task.horizon]
     # contexts of the first test window end exactly at the split point
     assert split.test.anchors[0] == 1008
     assert len(split.test) == 1
 
 
-def test_split_traditional_single_test_window_boundary():
+def test_split_windows_single_test_window_boundary():
     ts = series(np.random.default_rng(4).normal(size=50))
     task = ForecastTask(10, 5)
-    split = split_traditional(ts, task, split_point=45)
+    split = split_windows(ts, task, split_point=45)
     assert len(split.test) == 1
     assert split.test.anchors[0] == 45
 
 
-def test_split_traditional_preconditions():
+def test_split_windows_preconditions():
     ts = series(np.random.default_rng(5).normal(size=50))
     task = ForecastTask(10, 5)
     with pytest.raises(RangeTooShort):
-        split_traditional(ts, task, split_point=14)  # T < l + h
+        split_windows(ts, task, split_point=14)  # T < l + h
+    for T in range(15, 20):  # l + h <= T < l + 2h: the validation slice leaves no train window
+        with pytest.raises(RangeTooShort):
+            split_windows(ts, task, split_point=T)
+    assert len(split_windows(ts, task, split_point=20).train) == 1
     with pytest.raises(RangeTooShort):
-        split_traditional(ts, task, split_point=46)  # no room for a test target
+        split_windows(ts, task, split_point=46)  # no room for a test target
 
 
 def test_split_separation_invariant():
@@ -96,9 +99,10 @@ def test_split_separation_invariant():
         n = int(rng.integers(40, 120))
         l = int(rng.integers(4, 12))
         h = int(rng.integers(2, 8))
-        T = int(rng.integers(l + h, n - h + 1))
-        split = split_traditional(series(rng.normal(size=n)), ForecastTask(l, h), T)
-        assert all(a + h <= T for a in split.train.anchors)
+        T = int(rng.integers(l + 2 * h, n - h + 1))
+        split = split_windows(series(rng.normal(size=n)), ForecastTask(l, h), T)
+        assert all(a + h <= T - h for a in split.train.anchors)
+        assert all(T - h <= a and a + h <= T for a in split.valid.anchors)
         assert all(a >= T for a in split.test.anchors)
 
 
@@ -155,7 +159,7 @@ def split_cases(draw):
     """A random series with a task, a stride and a valid split point."""
     l = draw(st.integers(1, 12))
     h = draw(st.integers(1, 8))
-    T = draw(st.integers(l + h, 60))
+    T = draw(st.integers(l + 2 * h, 60))
     n = draw(st.integers(T + h, T + h + 30))
     stride = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -167,8 +171,10 @@ def split_cases(draw):
 @given(split_cases())
 def test_split_train_targets_end_by_T_and_test_anchors_start_at_T(case):
     ts, task, stride, T = case
-    split = split_traditional(ts, task, T, stride)
-    assert np.all(split.train.anchors + task.horizon <= T)
+    split = split_windows(ts, task, T, stride)
+    h = task.horizon
+    assert np.all(split.train.anchors + h <= T - h)
+    assert np.all(split.valid.anchors + h <= T)
     assert np.all(split.test.anchors >= T)
 
 
@@ -178,10 +184,12 @@ def test_ood_test_rows_equal_id_test_rows(case, k):
     ts, task, stride, T = case
     if k > component_arrays(dft(ts.values))[0].size:
         with pytest.raises(KTooLarge):
-            build_compositional_split(ts, task, k, T, stride)
+            split_windows(ts, task, T, stride, k=k)
         return
-    ood = build_compositional_split(ts, task, k, T, stride)
-    id_split = split_traditional(ts, task, T, stride)
+    ood = split_windows(ts, task, T, stride, k=k)
+    id_split = split_windows(ts, task, T, stride)
+    assert len(ood.train) == k * len(id_split.train)
+    assert len(ood.valid) == k * len(id_split.valid)
     np.testing.assert_array_equal(ood.test.anchors, id_split.test.anchors)
     np.testing.assert_array_equal(ood.test.contexts, id_split.test.contexts)
     np.testing.assert_array_equal(ood.test.targets, id_split.test.targets)

@@ -5,22 +5,20 @@ from specbench import (
     ForecastTask,
     TimeSeries,
     basis_series,
-    build_compositional_split,
-    compositional_basis,
     dft,
+    make_windows,
     partial_sum,
     reconstruct_full,
     sorted_components,
-    split_traditional,
+    split_windows,
     top_k_components,
 )
 from specbench.errors import KTooLarge, NonFinite
-from specbench.series import SplitMode
 from specbench.spectral import SpectralDecomposition, component_arrays, partial_sums
 
 from helpers import (
     REFERENCE_LENGTHS, naive_dft, reference_series, running_sums_reference,
-    sorted_components_reference,
+    sorted_components_reference, take,
 )
 
 
@@ -240,26 +238,33 @@ def _two_sine_series(n=1200):
 
 def test_compositional_split_recovers_generator_components():
     ts, parts = _two_sine_series()
-    basis = compositional_basis(ts, 2)
-    recovered = sorted(basis, key=lambda b: b.values.std(), reverse=True)
+    task = ForecastTask(256, 192)
+    split = split_windows(ts, task, split_point=1008, k=2)
+    half = len(split.train) // 2
+    sources = [take(split.train, np.s_[:half]), take(split.train, np.s_[half:])]
+    recovered = sorted(sources, key=lambda w: w.targets.std(), reverse=True)
     for rec, part in zip(recovered, parts):
-        assert np.abs(rec.values - part).mean() < 1e-6
+        expected = make_windows(TimeSeries(id="part", values=part), task, 1, (0, 1008 - 192))
+        assert np.abs(rec.contexts - expected.contexts).mean() < 1e-6
+        assert np.abs(rec.targets - expected.targets).mean() < 1e-6
 
 
 def test_compositional_split_counts_and_mode():
     ts, _ = _two_sine_series()
     task = ForecastTask(256, 192)
-    split = build_compositional_split(ts, task, k=2, split_point=1008)
-    per_series = (1008 - 256 - 192) // 1 + 1
-    assert len(split.train) == 2 * per_series
-    assert split.mode is SplitMode.OOD_COMPOSITIONAL
+    per_source = (1008 - 192) - 256 - 192 + 1
+    for k, sources in ((None, 1), (2, 2)):  # ID trains on the series, OOD on 2 basis series
+        split = split_windows(ts, task, split_point=1008, k=k)
+        assert len(split.train) == sources * per_source
+        assert len(split.valid) == sources
+        assert len(split.test) == 1
 
 
 def test_compositional_test_side_identical_to_traditional():
     ts, _ = _two_sine_series()
     task = ForecastTask(256, 192)
-    ood = build_compositional_split(ts, task, k=2, split_point=1008)
-    id_split = split_traditional(ts, task, split_point=1008)
+    ood = split_windows(ts, task, split_point=1008, k=2)
+    id_split = split_windows(ts, task, split_point=1008)
     assert len(ood.test) == len(id_split.test)
     np.testing.assert_array_equal(ood.test.anchors, id_split.test.anchors)
     np.testing.assert_array_equal(ood.test.contexts, id_split.test.contexts)
