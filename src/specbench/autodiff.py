@@ -3,14 +3,23 @@
 Primitives compute with numpy and, while a tape is active (see
 :func:`recording`), append a backward rule to it. Tapes are recorded in
 execution order, which is already a topological order, so
-:func:`backward` is a single reverse sweep. That sweep consumes the
-tape: each record is popped as its rule runs, which frees the forward
-activations it held, so a tape is swept once and left empty. A tape and
-its tensors belong to one worker; nothing here is shared mutable state
-apart from the thread-local active-tape stack.
+:func:`backward` is a single reverse sweep.
+
+A tensor's identity on a tape is its ``node`` number, never its address:
+records hold the node numbers of their output and inputs, not the
+tensors, and each rule closes over only the arrays and shapes its
+backward reads. So an activation no rule reads (a raw GEMM output before
+its bias add, a residual sum, a relu input) is freed during the forward
+pass, and CPython may reuse its address while the tape still needs its
+node. The sweep consumes the tape: each record is popped as its rule
+runs, which frees the arrays it held, so a tape is swept once and left
+empty. A tape and its tensors belong to one worker; nothing here is
+shared mutable state apart from the thread-local active-tape stack and
+the process-wide node counter.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -32,13 +41,23 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """A shaped view over a contiguous float64 numpy array."""
+# One counter for the process, so node numbers stay unique across threads
+# and tapes; ``next`` on it is a single C call under the interpreter lock.
+_NODES = itertools.count()
 
-    __slots__ = ("data",)
+
+class Tensor:
+    """A shaped view over a contiguous float64 numpy array.
+
+    ``node`` is a number no other tensor in this process has; tapes and
+    :func:`backward` know a tensor only by it.
+    """
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.node = next(_NODES)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,14 +111,15 @@ def _lift(value) -> Tensor:
 
 
 class Tape:
-    """Ordered record of primitive applications (op, inputs, output, rule)."""
+    """Ordered record of primitive applications (op, output, inputs, rule)."""
 
     __slots__ = ("records",)
 
     def __init__(self):
-        # Each record: (op name, output, inputs, backward) where backward
-        # maps the output gradient to input gradients (None = no flow).
-        self.records: list[tuple[str, Tensor, tuple[Tensor, ...], Callable]] = []
+        # Each record: (op name, output node, input nodes, backward) where
+        # backward maps the output gradient to input gradients (None = no
+        # flow). Records hold no tensors, so they keep no activation alive.
+        self.records: list[tuple[str, int, tuple[int, ...], Callable]] = []
 
     def __len__(self) -> int:
         return len(self.records)
@@ -130,7 +150,7 @@ def _emit(
 ) -> Tensor:
     stack = _stack()
     if stack:
-        stack[-1].records.append((op, out, inputs, backward_rule))
+        stack[-1].records.append((op, out.node, tuple(t.node for t in inputs), backward_rule))
     return out
 
 
@@ -146,23 +166,21 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndar
     """
     if loss.data.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    wanted = {id(p) for p in params}
-    wanted.update(id(out) for _, out, _, _ in tape.records)
+    grads: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+    wanted = {p.node for p in params}
+    wanted.update(out for _, out, _, _ in tape.records)
     # Keys whose gradient is a buffer this sweep allocated. Only those are
     # added into in place: a rule may hand the same array to several
     # inputs (add returns its ``g`` to both), or pass its own ``g`` on.
     owned: set[int] = set()
     records = tape.records
     while records:
-        _, out, inputs, rule = records.pop()
-        key = id(out)
+        _, key, inputs, rule = records.pop()
         g_out = grads.pop(key, None)
         if g_out is None:
             continue
         owned.discard(key)
-        for tensor, g_in in zip(inputs, rule(g_out)):
-            key = id(tensor)
+        for key, g_in in zip(inputs, rule(g_out)):
             if g_in is None or key not in wanted:
                 continue
             held = grads.get(key)
@@ -174,7 +192,7 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndar
                 grads[key] = held + g_in
                 owned.add(key)
         g_in = None  # else the last returned gradient outlives the next rule
-    return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
+    return [grads.get(p.node, np.zeros_like(p.data)) for p in params]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -199,33 +217,34 @@ def _binary(a: Tensor, b: Tensor, forward, rule) -> Tensor:
 
 # -- arithmetic ----------------------------------------------------------------
 
+# Rules close over arrays and shapes, never over a Tensor, so each keeps
+# alive only what its backward reads.
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(
-        a, b, np.add,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _binary(a, b, np.add, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(
-        a, b, np.subtract,
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
+    sa, sb = a.shape, b.shape
+    return _binary(a, b, np.subtract, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    x, y = a.data, b.data
     return _binary(
         a, b, np.multiply,
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)),
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
+    x, y = a.data, b.data
     return _binary(
         a, b, np.divide,
         lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / y, x.shape),
+            _unbroadcast(-g * x / (y * y), y.shape),
         ),
     )
 
@@ -244,25 +263,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # Dense-layer case: flatten leading dims into single GEMMs instead
         # of numpy's per-row batched path (and avoid materializing a
         # (batch, K, N) gradient that would then be summed down to (K, N)).
-        lead = a.shape[:-1]
-        k, n = b.shape
+        shape = a.shape
+        w = b.data
+        k, n = w.shape
         a2 = a.data.reshape(-1, k)
-        out = Tensor((a2 @ b.data).reshape(*lead, n))
+        out = Tensor((a2 @ w).reshape(*shape[:-1], n))
 
         def rule(g):
             g2 = g.reshape(-1, n)
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+            return (g2 @ w.T).reshape(shape), a2.T @ g2
 
         return _emit(out, (a, b), rule)
 
+    x, y = a.data, b.data
     try:
-        out = Tensor(a.data @ b.data)
+        out = Tensor(x @ y)
     except ValueError as exc:
         raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}: {exc}") from None
 
     def rule(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ y.swapaxes(-1, -2), x.shape)
+        gb = _unbroadcast(x.swapaxes(-1, -2) @ g, y.shape)
         return ga, gb
 
     return _emit(out, (a, b), rule)
@@ -271,9 +292,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- elementwise nonlinearities -------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    return _emit(
-        Tensor(np.maximum(a.data, 0.0)), (a,), lambda g: (g * (a.data > 0),), op="relu"
-    )
+    # out > 0 exactly where a > 0, so the rule keeps the output it shares
+    # with the next layer instead of the input
+    out = np.maximum(a.data, 0.0)
+    return _emit(Tensor(out), (a,), lambda g: (g * (out > 0),), op="relu")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -287,7 +309,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _emit(Tensor(np.log(a.data)), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _emit(Tensor(np.log(x)), (a,), lambda g: (g / x,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -296,10 +319,10 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
-    out = a.data ** exponent
+    x = a.data
     return _emit(
-        Tensor(out), (a,),
-        lambda g: (g * exponent * a.data ** (exponent - 1.0),),
+        Tensor(x ** exponent), (a,),
+        lambda g: (g * exponent * x ** (exponent - 1.0),),
     )
 
 
@@ -356,8 +379,8 @@ def _digamma_array(x: np.ndarray) -> np.ndarray:
 
 def lgamma(a: Tensor) -> Tensor:
     """Log-gamma for positive inputs; gradient is the digamma function."""
-    out = _lgamma_array(a.data)
-    return _emit(Tensor(out), (a,), lambda g: (g * _digamma_array(a.data),))
+    x = a.data
+    return _emit(Tensor(_lgamma_array(x)), (a,), lambda g: (g * _digamma_array(x),))
 
 
 # -- normalization and reductions ------------------------------------------------
@@ -390,14 +413,17 @@ def layer_norm(
             f"layer_norm of {a.shape} with gain {gain.shape}, bias {bias.shape}: {exc}"
         ) from None
 
+    scale = gain.data
+    bias_shape = bias.shape
+
     def rule(g):
-        gy = g * gain.data
+        gy = g * scale
         g_mean = gy.mean(axis=axis, keepdims=True)
         gyy_mean = (gy * y).mean(axis=axis, keepdims=True)
         return (
             inv_std * (gy - g_mean - y * gyy_mean),
-            _unbroadcast(g * y, gain.shape),
-            _unbroadcast(g, bias.shape),
+            _unbroadcast(g * y, scale.shape),
+            _unbroadcast(g, bias_shape),
         )
 
     return _emit(out, (a, gain, bias), rule)
@@ -405,27 +431,27 @@ def layer_norm(
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in np.atleast_1d(axis)]
-    )
+    shape = a.shape
+    count = a.data.size if axis is None else np.prod([shape[ax] for ax in np.atleast_1d(axis)])
 
     def rule(g):
         g = np.asarray(g)
         if not keepdims and axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / count,)
+        return (np.broadcast_to(g, shape) / count,)
 
     return _emit(Tensor(out), (a,), rule)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def rule(g):
         g = np.asarray(g)
         if not keepdims and axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _emit(Tensor(out), (a,), rule)
 
@@ -447,9 +473,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def tslice(a: Tensor, key) -> Tensor:
     """Basic (non-repeating) numpy slice of a tensor."""
     out = Tensor(a.data[key])
+    shape = a.shape
 
     def rule(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[key] += g
         return (full,)
 
@@ -458,7 +485,8 @@ def tslice(a: Tensor, key) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    return _emit(out, (a,), lambda g: (g.reshape(a.shape),))
+    old = a.shape
+    return _emit(out, (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -469,16 +497,18 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
     out = Tensor(np.broadcast_to(a.data, shape))
-    return _emit(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
+    old = a.shape
+    return _emit(out, (a,), lambda g: (_unbroadcast(g, old),))
 
 
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup ``table[indices]``; gradients scatter-add into the table."""
     indices = np.asarray(indices)
     out = Tensor(table.data[indices])
+    shape = table.shape
 
     def rule(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape)
         np.add.at(gt, indices, g)
         return (gt,)
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from specbench.autodiff import Tape, Tensor, _emit, add, backward, mul, recording
+from specbench.models import losses, networks, transformer
 from specbench.preprocess import _lagged_design
 from specbench.series import Windows
 
@@ -87,19 +88,37 @@ def basis_wins_reference(y, yhat, dec, bounds) -> tuple[list[bool], int]:
 
 
 def kink_margin(loss_fn) -> float:
-    """Smallest |input| reaching a relu or absval on the loss graph.
+    """Smallest |input| reaching a relu or absval during one ``loss_fn()``.
 
     Central differences are only trustworthy when this margin comfortably
     exceeds the finite-difference step, so checks redraw their random
-    evaluation point until it does.
+    evaluation point until it does. The inputs are read by wrapping the
+    names the networks and losses look up, since tape records hold no
+    tensors.
     """
-    tape = Tape()
-    with recording(tape):
-        loss_fn()
     margin = np.inf
-    for op, _, inputs, _ in tape.records:
-        if op in ("relu", "absval"):
-            margin = min(margin, float(np.abs(inputs[0].data).min()))
+
+    def watch(primitive):
+        def watched(a):
+            nonlocal margin
+            margin = min(margin, float(np.abs(a.data).min()))
+            return primitive(a)
+
+        return watched
+
+    saved = [
+        (module, name, getattr(module, name))
+        for module in (transformer, networks, losses)
+        for name in ("relu", "absval")
+        if hasattr(module, name)
+    ]
+    try:
+        for module, name, primitive in saved:
+            setattr(module, name, watch(primitive))
+        loss_fn()
+    finally:
+        for module, name, primitive in saved:
+            setattr(module, name, primitive)
     return margin
 
 
@@ -159,17 +178,16 @@ def fd_gradcheck(
 def backward_keeping_every_gradient(tape: Tape, loss: Tensor, params) -> list[np.ndarray]:
     """The reverse sweep before it dropped constant leaves' gradients: every
     input a rule reaches keeps its gradient until the sweep ends."""
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {loss.node: np.ones_like(loss.data)}
     while tape.records:
         _, out, inputs, rule = tape.records.pop()
-        g_out = grads.pop(id(out), None)
+        g_out = grads.pop(out, None)
         if g_out is None:
             continue
-        for tensor, g_in in zip(inputs, rule(g_out)):
+        for key, g_in in zip(inputs, rule(g_out)):
             if g_in is not None:
-                key = id(tensor)
                 grads[key] = g_in if key not in grads else grads[key] + g_in
-    return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
+    return [grads.get(p.node, np.zeros_like(p.data)) for p in params]
 
 
 def bare_layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:

@@ -12,9 +12,12 @@ from specbench.autodiff import (
     backward,
     broadcast_to,
     concat,
+    div,
     embedding,
+    exp,
     layer_norm,
     lgamma,
+    log,
     matmul,
     mean,
     mul,
@@ -24,6 +27,8 @@ from specbench.autodiff import (
     reshape,
     softmax,
     softplus,
+    sqrt,
+    sub,
     tanh,
     transpose,
     tslice,
@@ -31,7 +36,7 @@ from specbench.autodiff import (
 )
 from specbench.errors import NonScalarLoss, ShapeMismatch
 
-from helpers import fd_gradcheck, layer_norm_chain_reference
+from helpers import backward_keeping_every_gradient, fd_gradcheck, layer_norm_chain_reference
 
 
 def test_matmul_shapes():
@@ -244,6 +249,105 @@ def test_backward_drops_constant_leaf_gradients_during_sweep():
     (grad_p,) = backward(tape, loss, [p])
     assert alive_at_spy == {"x": True, "c": False}
     np.testing.assert_array_equal(grad_p, c.data)
+
+
+def test_activations_no_rule_reads_are_freed_during_forward():
+    rng = np.random.default_rng(44)
+    x = rng.normal(size=(6, 4))
+    params = [Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=5)),
+              Tensor(rng.normal(size=(5, 2)))]
+
+    def record():
+        w1, b1, w2 = params
+        raw = matmul(Tensor(x), w1)
+        pre = add(raw, b1)
+        refs = weakref.ref(raw.data), weakref.ref(pre.data)
+        loss = mean(matmul(relu(pre), w2))
+        return loss, refs
+
+    tape = Tape()
+    with recording(tape):
+        loss, (raw_ref, pre_ref) = record()
+    # the dense layer's GEMM output and the relu input are gone while the
+    # tape still holds every record
+    assert raw_ref() is None and pre_ref() is None
+    assert len(tape) == 5
+    grads = backward(tape, loss, params)
+    reference_tape = Tape()
+    with recording(reference_tape):
+        reference_loss, _ = record()
+    expected = backward_keeping_every_gradient(reference_tape, reference_loss, params)
+    for grad, ref in zip(grads, expected):
+        np.testing.assert_array_equal(grad, ref)
+
+
+def test_no_rule_closes_over_a_tensor():
+    rng = np.random.default_rng(45)
+    x = Tensor(rng.uniform(0.5, 2.0, size=(2, 3, 4)))
+    w = Tensor(rng.normal(size=(4, 4)))
+    tape = Tape()
+    with recording(tape):
+        y = layer_norm(matmul(x, w), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        y = matmul(softmax(y), transpose(x, (0, 2, 1)))
+        y = add(sub(y, tanh(y)), div(exp(y), sqrt(absval(y) + 1.0)))
+        y = mul(relu(y), softplus(log(lgamma(power(absval(y) + 1.0, 2.0) + 1.0))))
+        y = broadcast_to(reshape(tsum(y, axis=0), (1, 3, 3)), (2, 3, 3))
+        rows = tslice(embedding(w, np.array([0, 2, 0])), (slice(None), slice(0, 3)))
+        concat([tslice(y, (0,)), mean(y, axis=0), rows])
+    held = [
+        rule.__qualname__
+        for _, _, _, rule in tape.records
+        for cell in rule.__closure__ or ()
+        if isinstance(cell.cell_contents, Tensor)
+    ]
+    assert len(tape) > 25 and held == []
+
+
+def test_identity_survives_address_reuse():
+    rng = np.random.default_rng(46)
+    params = {"w": Tensor(rng.normal(size=(3, 4))), "v": Tensor(rng.normal(size=4))}
+    scales = np.linspace(0.5, 1.5, 250)
+
+    def loss_fn():
+        # each step makes and drops constants and intermediates of
+        # alternating shapes, whose addresses CPython hands to new objects
+        # while the tape still needs their nodes
+        w, v = params["w"], params["v"]
+        total = Tensor(0.0)
+        for i, s in enumerate(scales):
+            h = mul(w, Tensor(s))
+            if i % 2:
+                z = tsum(mul(h, h))
+            else:
+                z = mean(matmul(h, reshape(v, (4, 1))))
+            total = add(total, z)
+        return total
+
+    tape = Tape()
+    with recording(tape):
+        loss = loss_fn()
+    names = sorted(params)
+    grads = backward(tape, loss, [params[n] for n in names])
+    tape = Tape()
+    with recording(tape):
+        loss = loss_fn()
+    expected = backward_keeping_every_gradient(tape, loss, [params[n] for n in names])
+    for grad, ref in zip(grads, expected):
+        np.testing.assert_array_equal(grad, ref)
+    assert fd_gradcheck(loss_fn, params) < 1e-4
+
+
+def test_tensor_from_another_tape_is_a_leaf_there():
+    w = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]]))
+    first = Tape()
+    with recording(first):
+        t = matmul(Tensor(np.ones((1, 2))), w)
+    second = Tape()
+    with recording(second):
+        loss = tsum(mul(t, t))
+    grad_w, grad_t = backward(second, loss, [w, t])
+    np.testing.assert_array_equal(grad_w, np.zeros((2, 2)))
+    np.testing.assert_array_equal(grad_t, 2.0 * t.data)
 
 
 def test_embedding_gradient_scatter():
