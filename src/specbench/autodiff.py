@@ -20,12 +20,12 @@ the process-wide node counter.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special
 
 from .errors import NonScalarLoss, ShapeMismatch
 
@@ -338,49 +338,10 @@ def softplus(a: Tensor) -> Tensor:
     return _emit(Tensor(out), (a,), lambda g: (g * sig,))
 
 
-# Lanczos approximation (g=7, n=9) for log-gamma on x > 0.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-
-def _lgamma_array(x: np.ndarray) -> np.ndarray:
-    z = x - 1.0
-    series = np.full_like(z, _LANCZOS_COEF[0])
-    for i in range(1, len(_LANCZOS_COEF)):
-        series = series + _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * np.log(t) - t + np.log(series)
-
-
-def _digamma_array(x: np.ndarray) -> np.ndarray:
-    # Recurrence up to x >= 6, then the asymptotic series.
-    x = np.array(x, dtype=np.float64, copy=True)
-    acc = np.zeros_like(x)
-    while np.any(x < 6.0):
-        small = x < 6.0
-        acc[small] -= 1.0 / x[small]
-        x[small] += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    return acc + np.log(x) - 0.5 * inv - inv2 * (
-        1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0)
-    )
-
-
 def lgamma(a: Tensor) -> Tensor:
     """Log-gamma for positive inputs; gradient is the digamma function."""
     x = a.data
-    return _emit(Tensor(_lgamma_array(x)), (a,), lambda g: (g * _digamma_array(x),))
+    return _emit(Tensor(special.gammaln(x)), (a,), lambda g: (g * special.digamma(x),))
 
 
 # -- normalization and reductions ------------------------------------------------

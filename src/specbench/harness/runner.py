@@ -51,7 +51,7 @@ MODES = ("ID", "OOD")
 # every run id, so bumping it makes run files written by older code cache
 # misses. Bump it whenever a change moves result values without changing
 # a config field.
-RESULT_SCHEMA = 2
+RESULT_SCHEMA = 3
 
 
 @dataclass
@@ -303,10 +303,9 @@ def _release_freed_memory() -> None:
 
     glibc keeps freed heap pages resident while a live block sits above
     them, so what one model's training leaves resident depends on where
-    its last allocations landed, and the next run's peak (the AR least
-    squares design matrix is the largest) stacks on top of it. Trimming
-    after every run makes a matrix's peak memory the same from one
-    invocation to the next.
+    its last allocations landed, and the next run's peak stacks on top of
+    it. Trimming after every run makes a matrix's peak memory the same
+    from one invocation to the next.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)

@@ -3,7 +3,7 @@
 All reduce by mean over the horizon (and batch). The Student-t negative
 log-likelihood keeps ``sigma > 0`` and ``nu > 2`` by construction (the
 network head maps raw outputs through softplus before they get here);
-its log-gamma terms run through the Lanczos primitive so the density is
+its log-gamma terms run through the `lgamma` primitive so the density is
 differentiable in all three parameters.
 """
 from __future__ import annotations

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import specbench
 from specbench.errors import BadContextLength, EmptyTrainSet
 from specbench.models import Family, ModelConfig, TrainConfig, fit, predict
 from specbench.models.statistical import _fit_ar
 from specbench.series import Windows
 
-from helpers import stack_windows
+from helpers import stack_windows, take
 
 
 def _windows_from_series(values, l, h, count=30, stride=3):
@@ -106,11 +112,8 @@ def test_ar_multi_step_recursion():
     np.testing.assert_allclose(forecast, values[364:404], atol=1e-6)
 
 
-def test_ar_design_matches_row_by_row_reference():
-    rng = np.random.default_rng(62)
-    values = np.cumsum(rng.normal(size=500))
-    windows = _windows_from_series(values, 40, 12, count=50, stride=7)
-    order = 6
+def _row_by_row_reference(windows, order):
+    """AR least squares on every lag row of every window, built one row at a time."""
     rows, targets = [], []
     for seq in np.concatenate([windows.contexts, windows.targets], axis=1):
         for t in range(order, seq.size):
@@ -118,4 +121,81 @@ def test_ar_design_matches_row_by_row_reference():
             targets.append(seq[t])
     X = np.column_stack([np.asarray(rows), np.ones(len(rows))])
     reference, *_ = np.linalg.lstsq(X, np.asarray(targets), rcond=None)
-    np.testing.assert_array_equal(_fit_ar(windows, order), reference)
+    return reference
+
+
+def test_ar_design_matches_row_by_row_reference():
+    # overlapping windows of a random walk share lag rows, which the fit
+    # solves once, weighted; full rank, so it agrees to rounding
+    rng = np.random.default_rng(62)
+    values = np.cumsum(rng.normal(size=500))
+    windows = _windows_from_series(values, 40, 12, count=50, stride=7)
+    np.testing.assert_allclose(
+        _fit_ar(windows, 6), _row_by_row_reference(windows, 6), rtol=1e-9, atol=1e-12
+    )
+    # noiseless and rank 3 of 7: the 3e-12 sinusoid gives two singular values
+    # (2e-12 and 8e-13 of the largest) below the 46,000-row design's cutoff
+    # but above one scaled by the ~1,050 distinct rows, which would keep them
+    # and move the minimum-norm solution
+    t = np.arange(1100.0)
+    values = np.sin(2 * np.pi * t / 17.0 + 0.3) + 3e-12 * np.sin(2 * np.pi * t / 7.3)
+    windows = _windows_from_series(values, 40, 12, count=1000, stride=1)
+    beta, reference = _fit_ar(windows, 6), _row_by_row_reference(windows, 6)
+    np.testing.assert_allclose(beta, reference, rtol=0, atol=1e-9)
+    assert np.linalg.norm(beta) == pytest.approx(np.linalg.norm(reference), rel=1e-9)
+
+
+@pytest.mark.parametrize("stride", [47, 60])
+def test_ar_without_repeated_rows_is_bit_identical_to_reference(stride):
+    # stride 47 chains windows that share 5 values but no 7-value lag row;
+    # stride 60 leaves gaps between them
+    rng = np.random.default_rng(63)
+    values = np.cumsum(rng.normal(size=2000))
+    windows = _windows_from_series(values, 40, 12, count=30, stride=stride)
+    np.testing.assert_array_equal(_fit_ar(windows, 6), _row_by_row_reference(windows, 6))
+
+
+def test_ar_keeps_overlapping_windows_of_different_sources_apart():
+    # two sources, interleaved so that consecutive anchors differ by 1
+    rng = np.random.default_rng(64)
+    a, b = np.cumsum(rng.normal(size=(2, 400)), axis=1)
+    first = _windows_from_series(a, 40, 12, count=60, stride=2)
+    second = _windows_from_series(b, 40, 12, count=60, stride=2)
+    interleaved = np.stack([np.arange(60), np.arange(60) + 60], axis=1).reshape(-1)
+    pooled = take(Windows.concat([first, Windows(second.contexts, second.targets,
+                                                 second.anchors + 1)]), interleaved)
+    assert set(np.diff(pooled.anchors)) == {1}
+    np.testing.assert_allclose(
+        _fit_ar(pooled, 6), _row_by_row_reference(pooled, 6), rtol=1e-9, atol=1e-12
+    )
+
+
+_AR_THREADS_CHILD = """
+from specbench.harness.runner import split_windows, synthetic_dataset
+from specbench.models.statistical import _fit_ar
+from specbench.series import ForecastTask, Windows
+task = ForecastTask(256, 192)
+series = synthetic_dataset("sinusoid", 4, 1, 1200).composed
+for k in (None, 2):
+    train = Windows.concat([split_windows(s, task, len(s) - 192, k=k).train for s in series])
+    print(_fit_ar(train, 48).tobytes().hex())
+"""
+
+
+def test_ar_fit_bytes_do_not_depend_on_blas_threads():
+    # the zoo's pooled AR_LS train sets, ID and OOD: 4 sinusoid series of
+    # 1200 samples, 48 lags
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(specbench.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH", "")) if p
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _AR_THREADS_CHILD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
