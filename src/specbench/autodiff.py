@@ -35,9 +35,8 @@ __all__ = [
     "recording",
     "backward",
     "add", "sub", "mul", "div", "neg", "matmul",
-    "relu", "tanh", "exp", "log", "sqrt", "power", "absval", "softplus", "lgamma",
-    "softmax", "layer_norm", "mean", "tsum", "concat", "tslice", "reshape",
-    "transpose", "broadcast_to", "embedding",
+    "relu", "log", "absval", "softplus", "lgamma",
+    "softmax", "layer_norm", "mean", "concat", "tslice", "reshape", "transpose", "embedding",
 ]
 
 
@@ -298,32 +297,9 @@ def relu(a: Tensor) -> Tensor:
     return _emit(Tensor(out), (a,), lambda g: (g * (out > 0),), op="relu")
 
 
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    return _emit(Tensor(t), (a,), lambda g: (g * (1.0 - t * t),))
-
-
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    return _emit(Tensor(e), (a,), lambda g: (g * e,))
-
-
 def log(a: Tensor) -> Tensor:
     x = a.data
     return _emit(Tensor(np.log(x)), (a,), lambda g: (g / x,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    s = np.sqrt(a.data)
-    return _emit(Tensor(s), (a,), lambda g: (g * 0.5 / s,))
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    x = a.data
-    return _emit(
-        Tensor(x ** exponent), (a,),
-        lambda g: (g * exponent * x ** (exponent - 1.0),),
-    )
 
 
 def absval(a: Tensor) -> Tensor:
@@ -404,19 +380,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _emit(Tensor(out), (a,), rule)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.shape
-
-    def rule(g):
-        g = np.asarray(g)
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _emit(Tensor(out), (a,), rule)
-
-
 # -- shape manipulation -----------------------------------------------------------
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -454,12 +417,6 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     out = Tensor(a.data.transpose(axes))
     inverse = None if axes is None else np.argsort(axes)
     return _emit(out, (a,), lambda g: (g.transpose(inverse),))
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    out = Tensor(np.broadcast_to(a.data, shape))
-    old = a.shape
-    return _emit(out, (a,), lambda g: (_unbroadcast(g, old),))
 
 
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:

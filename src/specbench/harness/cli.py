@@ -97,7 +97,7 @@ def _cmd_prep(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    results = run_matrix(cfg, out_dir=args.out, config_path=args.config, progress=_emit)
+    results = run_matrix(cfg, out_dir=args.out, progress=_emit)
     failures = sum(1 for r in results if r.error)
     _emit(event="run_done", runs=len(results), failures=failures, out=args.out)
     return 0

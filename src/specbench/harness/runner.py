@@ -17,6 +17,7 @@ import os
 import time
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -38,7 +39,7 @@ from ..preprocess import load_csv
 from ..series import ForecastTask, TimeSeries, Windows, make_windows
 from ..spectral import SpectralDecomposition, basis_series, dft, top_k_components
 from ..synthgen import SyntheticDataset, SyntheticVariant, gen_sinusoid_dataset, gen_trend_dataset
-from .expconfig import DatasetSpec, ExperimentConfig, ModelSpec, load_config
+from .expconfig import DatasetSpec, ExperimentConfig, ModelSpec
 
 __all__ = [
     "RESULT_SCHEMA", "RunResult", "SplitDataset", "run_id", "run_matrix", "aggregate",
@@ -311,27 +312,27 @@ def _release_freed_memory() -> None:
         _malloc_trim(0)
 
 
-def _payload_run(args: tuple[str, str, str, str, int, str]) -> RunResult:
-    config_path, out_dir, ds_name, model_name, seed, mode = args
-    cfg = load_config(config_path)
-    spec = next(d for d in cfg.datasets if d.name == ds_name)
-    model_spec = next(m for m in cfg.models if m.name == model_name)
-    result = execute_run(cfg, spec, model_spec, seed, mode)
+def _run_and_write(job) -> RunResult:
+    """Execute one ``(out, cfg, spec, model, seed, mode)`` job, return its
+    freed memory to the OS and write its run file. Jobs pickle as they are."""
+    out, cfg, spec, model, seed, mode = job
+    result = execute_run(cfg, spec, model, seed, mode)
     _release_freed_memory()
-    _write_run(Path(out_dir), result)
+    _write_run(out, result)
     return result
 
 
 def run_matrix(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    config_path: str | Path | None = None,
     progress=None,
 ) -> list[RunResult]:
     """Execute every (dataset, model, seed, mode) cell, reusing cached runs.
 
-    ``SPECBENCH_WORKERS`` > 1 fans independent runs out to a process pool
-    (requires ``config_path`` so workers can reload the experiment).
+    ``SPECBENCH_WORKERS`` > 1 sends the pending runs to that many worker
+    processes. ``progress`` gets ``cached`` per reused run, and ``run`` and
+    ``done`` per executed one: interleaved when serial, every ``run`` first
+    with workers.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -356,31 +357,21 @@ def run_matrix(
             progress(event="cached", run_id=rid, dataset=spec.name, model=model.name,
                      seed=seed, mode=mode)
 
-    def started(spec, model, seed, mode):
-        if progress:
-            progress(event="run", dataset=spec.name, model=model.name, seed=seed, mode=mode)
-
-    def finished(result):
-        results[result.run_id] = result
-        if progress:
-            progress(event="done", run_id=result.run_id, mae=result.mae, error=result.error)
+    def jobs():
+        for spec, model, seed, mode in pending:
+            if progress:
+                progress(event="run", dataset=spec.name, model=model.name, seed=seed, mode=mode)
+            yield out, cfg, spec, model, seed, mode
 
     workers = int(os.environ.get("SPECBENCH_WORKERS", "1") or "1")
-    if workers > 1 and config_path is not None and pending:
-        payloads = []
-        for spec, model, seed, mode in pending:
-            started(spec, model, seed, mode)
-            payloads.append((str(config_path), str(out), spec.name, model.name, seed, mode))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_payload_run, payloads):
-                finished(result)
-    else:
-        for spec, model, seed, mode in pending:
-            started(spec, model, seed, mode)
-            result = execute_run(cfg, spec, model, seed, mode)
-            _release_freed_memory()
-            _write_run(out, result)
-            finished(result)
+    # a pool takes every job before the first run finishes; ``map`` takes
+    # each job when the loop asks for its result
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and pending else None
+    with pool or nullcontext():
+        for result in (pool.map if pool else map)(_run_and_write, jobs()):
+            results[result.run_id] = result
+            if progress:
+                progress(event="done", run_id=result.run_id, mae=result.mae, error=result.error)
 
     return [results[rid] for rid in ids]
 

@@ -12,22 +12,18 @@ import math
 
 import numpy as np
 
-from ..autodiff import Tensor, absval, lgamma, log, mean, mul
+from ..autodiff import Tensor, _lift, absval, lgamma, log, mean, mul
 from .config import HUBER_DELTA
 
 __all__ = ["mae_loss", "mse_loss", "huber_loss", "student_t_nll"]
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def mae_loss(target, pred) -> Tensor:
-    return mean(absval(_as_tensor(pred) - _as_tensor(target)))
+    return mean(absval(_lift(pred) - _lift(target)))
 
 
 def mse_loss(target, pred) -> Tensor:
-    err = _as_tensor(pred) - _as_tensor(target)
+    err = _lift(pred) - _lift(target)
     return mean(mul(err, err))
 
 
@@ -37,7 +33,7 @@ def huber_loss(target, pred, delta: float = HUBER_DELTA) -> Tensor:
     The branch mask is piecewise-constant in the residual, so treating it
     as data keeps the gradient exact almost everywhere.
     """
-    target_t, pred_t = _as_tensor(target), _as_tensor(pred)
+    target_t, pred_t = _lift(target), _lift(pred)
     resid = pred_t - target_t
     absres = absval(resid)
     small = Tensor((np.abs(pred_t.data - target_t.data) <= delta).astype(np.float64))
@@ -48,8 +44,8 @@ def huber_loss(target, pred, delta: float = HUBER_DELTA) -> Tensor:
 
 def student_t_nll(target, mu, sigma, nu) -> Tensor:
     """Mean negative log density of a location-scale Student-t."""
-    y = _as_tensor(target)
-    mu, sigma, nu = _as_tensor(mu), _as_tensor(sigma), _as_tensor(nu)
+    y = _lift(target)
+    mu, sigma, nu = _lift(mu), _lift(sigma), _lift(nu)
     z = (y - mu) / sigma
     half_nu = 0.5 * nu
     nll = (

@@ -59,6 +59,9 @@ def pool_matrix(length: int, rate: int) -> np.ndarray:
     return out
 
 
+# Every network, PatchTransformer included, declares a dense layer with
+# ``_linear`` and applies it with ``_apply``. perfbench's tracer times the
+# ``matmul`` and ``add`` this module looks up, so the helpers live here.
 def _linear(rng, name, params, fan_in, fan_out):
     params[f"{name}.w"] = Tensor(uniform_fan_in(rng, fan_in, (fan_in, fan_out)))
     params[f"{name}.b"] = Tensor(np.zeros(fan_out))

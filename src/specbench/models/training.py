@@ -42,11 +42,21 @@ class TrainedModel:
     _network: object = field(default=None, repr=False, compare=False)
 
     def network(self):
-        """Rebuild the forward graph from stored parameters (cached)."""
+        """Rebuild the forward graph from stored parameters (cached); raises
+        ValueError naming every missing, unknown or misshaped parameter."""
         if self.config.is_statistical:
             raise UnsupportedFamily(f"{self.config.family} has no network")
         if self._network is None:
             net = build_network(self.config, rng_stream(0, "rebuild"))
+            want = {name: t.shape for name, t in net.params.items()}
+            have = {name: np.shape(arr) for name, arr in self.params.items()}
+            if have != want:
+                misshaped = sorted(n for n in want.keys() & have.keys() if want[n] != have[n])
+                raise ValueError(
+                    f"stored parameters do not match the network: missing "
+                    f"{sorted(want.keys() - have.keys())}, unknown "
+                    f"{sorted(have.keys() - want.keys())}, misshaped {misshaped}"
+                )
             for name, tensor in net.params.items():
                 tensor.data = np.array(self.params[name], dtype=np.float64)
             self._network = net
@@ -110,7 +120,7 @@ def fit(
         loss = _batch_loss(net, config, valid.contexts, valid.targets)
         return loss.data.item()
 
-    names = sorted(net.params)
+    names = list(net.params)
     tensors = [net.params[n] for n in names]
     best_val = np.inf
     best_params: dict[str, np.ndarray] | None = None

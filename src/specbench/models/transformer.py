@@ -41,7 +41,7 @@ from .config import (
     RELATIVE_BUCKETS,
     Tokenization,
 )
-from .networks import moving_average_split
+from .networks import _apply, _linear, moving_average_split
 from .tokenizers import positional_bias, token_count, token_dim, tokenize
 
 _MASK_VALUE = -1e30
@@ -60,19 +60,14 @@ class PatchTransformer:
         if cfg.tokenization is Tokenization.BINNING:
             p["embed.table"] = Tensor(uniform_fan_in(rng, BINNING_BINS, (BINNING_BINS, H)))
         else:
-            dim = token_dim(cfg.tokenization, cfg)
-            p["embed.w"] = Tensor(uniform_fan_in(rng, dim, (dim, H)))
-            p["embed.b"] = Tensor(np.zeros(H))
+            _linear(rng, "embed", p, token_dim(cfg.tokenization, cfg), H)
         for i in range(L):
             for name in ("q", "k", "v", "o"):
-                p[f"layer{i}.attn.{name}.w"] = Tensor(uniform_fan_in(rng, H, (H, H)))
-                p[f"layer{i}.attn.{name}.b"] = Tensor(np.zeros(H))
+                _linear(rng, f"layer{i}.attn.{name}", p, H, H)
             p[f"layer{i}.ln1.g"] = Tensor(np.ones(H))
             p[f"layer{i}.ln1.b"] = Tensor(np.zeros(H))
-            p[f"layer{i}.ff.w1"] = Tensor(uniform_fan_in(rng, H, (H, F)))
-            p[f"layer{i}.ff.b1"] = Tensor(np.zeros(F))
-            p[f"layer{i}.ff.w2"] = Tensor(uniform_fan_in(rng, F, (F, H)))
-            p[f"layer{i}.ff.b2"] = Tensor(np.zeros(H))
+            _linear(rng, f"layer{i}.ff1", p, H, F)
+            _linear(rng, f"layer{i}.ff2", p, F, H)
             p[f"layer{i}.ln2.g"] = Tensor(np.ones(H))
             p[f"layer{i}.ln2.b"] = Tensor(np.zeros(H))
         p["final_ln.g"] = Tensor(np.ones(H))
@@ -81,21 +76,17 @@ class PatchTransformer:
         out_dim = cfg.horizon * (3 if cfg.loss is LossKind.STUDENT_T else 1)
         flat = self.n_tokens * H
         if cfg.head is Head.LINEAR:
-            p["head.w"] = Tensor(uniform_fan_in(rng, flat, (flat, out_dim)))
-            p["head.b"] = Tensor(np.zeros(out_dim))
+            _linear(rng, "head", p, flat, out_dim)
         else:
-            p["head.w1"] = Tensor(uniform_fan_in(rng, flat, (flat, H)))
-            p["head.b1"] = Tensor(np.zeros(H))
-            p["head.w2"] = Tensor(uniform_fan_in(rng, H, (H, out_dim)))
-            p["head.b2"] = Tensor(np.zeros(out_dim))
+            _linear(rng, "head1", p, flat, H)
+            _linear(rng, "head2", p, H, out_dim)
             p["head.skip"] = Tensor(uniform_fan_in(rng, flat, (flat, out_dim)))
         if cfg.pos_encoding in (PosEncoding.RELATIVE, PosEncoding.SINCOS_PLUS_RELATIVE):
             p["rel_bias"] = Tensor(
                 uniform_fan_in(rng, RELATIVE_BUCKETS, (RELATIVE_BUCKETS, cfg.n_heads))
             )
         if cfg.decomposition is Decomposition.MOVING_AVG:
-            p["trend.w"] = Tensor(uniform_fan_in(rng, cfg.context_len, (cfg.context_len, cfg.horizon)))
-            p["trend.b"] = Tensor(np.zeros(cfg.horizon))
+            _linear(rng, "trend", p, cfg.context_len, cfg.horizon)
         self.params = p
 
         # constant positional machinery
@@ -115,9 +106,6 @@ class PatchTransformer:
     def _ln(self, x: Tensor, name: str) -> Tensor:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _dense(self, x: Tensor, w: str, b: str) -> Tensor:
-        return add(matmul(x, self.params[w]), self.params[b])
-
     def _split_heads(self, x: Tensor, batch: int) -> Tensor:
         x = reshape(x, (batch, self.n_tokens, self.cfg.n_heads, self.head_dim))
         return transpose(x, (0, 2, 1, 3))
@@ -131,9 +119,10 @@ class PatchTransformer:
         return add(mul(x, Tensor(cos)), mul(rotated, Tensor(sin)))
 
     def _attention(self, x: Tensor, i: int, batch: int, drop_mask=None) -> Tensor:
-        q = self._split_heads(self._dense(x, f"layer{i}.attn.q.w", f"layer{i}.attn.q.b"), batch)
-        k = self._split_heads(self._dense(x, f"layer{i}.attn.k.w", f"layer{i}.attn.k.b"), batch)
-        v = self._split_heads(self._dense(x, f"layer{i}.attn.v.w", f"layer{i}.attn.v.b"), batch)
+        q, k, v = (
+            self._split_heads(_apply(self.params, f"layer{i}.attn.{name}", x), batch)
+            for name in ("q", "k", "v")
+        )
         if self._rope is not None:
             q, k = self._rotate(q), self._rotate(k)
         scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), Tensor(1.0 / math.sqrt(self.head_dim)))
@@ -144,7 +133,7 @@ class PatchTransformer:
             scores = add(scores, Tensor(self._causal_mask))
         context = matmul(softmax(scores, axis=-1), v)
         merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, self.n_tokens, self.cfg.hidden))
-        out = self._dense(merged, f"layer{i}.attn.o.w", f"layer{i}.attn.o.b")
+        out = _apply(self.params, f"layer{i}.attn.o", merged)
         if drop_mask is not None:
             out = mul(out, Tensor(drop_mask))
         return out
@@ -162,7 +151,7 @@ class PatchTransformer:
         if self.cfg.tokenization is Tokenization.BINNING:
             x = embedding(self.params["embed.table"], tokens)
         else:
-            x = self._dense(Tensor(tokens), "embed.w", "embed.b")
+            x = _apply(self.params, "embed", Tensor(tokens))
         if self._sincos is not None:
             x = add(x, Tensor(self._sincos))
         use_dropout = train_rng is not None and dropout > 0.0
@@ -172,11 +161,11 @@ class PatchTransformer:
                 keep = train_rng.random((batch, self.n_tokens, self.cfg.hidden)) >= dropout
                 mask = keep / (1.0 - dropout)
             x = add(x, self._attention(self._ln(x, f"layer{i}.ln1"), i, batch, mask))
-            hidden = relu(self._dense(self._ln(x, f"layer{i}.ln2"), f"layer{i}.ff.w1", f"layer{i}.ff.b1"))
+            hidden = relu(_apply(self.params, f"layer{i}.ff1", self._ln(x, f"layer{i}.ln2")))
             if use_dropout:
                 keep = train_rng.random(hidden.shape) >= dropout
                 hidden = mul(hidden, Tensor(keep / (1.0 - dropout)))
-            x = add(x, self._dense(hidden, f"layer{i}.ff.w2", f"layer{i}.ff.b2"))
+            x = add(x, _apply(self.params, f"layer{i}.ff2", hidden))
         return self._ln(x, "final_ln")
 
     def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0):
@@ -185,17 +174,14 @@ class PatchTransformer:
         encoded = self.encode(scaled, train_rng, dropout)
         flat = reshape(encoded, (batch, self.n_tokens * self.cfg.hidden))
         if self.cfg.head is Head.LINEAR:
-            out = self._dense(flat, "head.w", "head.b")
+            out = _apply(self.params, "head", flat)
         else:
-            hidden = relu(self._dense(flat, "head.w1", "head.b1"))
-            out = add(
-                self._dense(hidden, "head.w2", "head.b2"),
-                matmul(flat, self.params["head.skip"]),
-            )
+            hidden = relu(_apply(self.params, "head1", flat))
+            out = add(_apply(self.params, "head2", hidden), matmul(flat, self.params["head.skip"]))
         trend_term = None
         if self.cfg.decomposition is Decomposition.MOVING_AVG:
             trend, _ = moving_average_split(scaled, MOVING_AVG_KERNEL)
-            trend_term = self._dense(Tensor(trend), "trend.w", "trend.b")
+            trend_term = _apply(self.params, "trend", Tensor(trend))
         h = self.cfg.horizon
         if self.cfg.loss is LossKind.STUDENT_T:
             mu = tslice(out, (slice(None), slice(0, h)))

@@ -51,6 +51,31 @@ def test_neural_checkpoint_bit_exact_roundtrip(tmp_path):
     np.testing.assert_array_equal(embed(loaded, ctx), embed(model, ctx))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # a parameter stored under its name before the feed-forward layers
+        # were declared through the shared dense-layer helper
+        (lambda p: p.update({"layer0.ff.w1": p.pop("layer0.ff1.w")}),
+         r"missing \['layer0.ff1.w'\], unknown \['layer0.ff.w1'\]"),
+        # a bias of shape (1,) would broadcast silently
+        (lambda p: p.update({"head.b": p["head.b"][:1]}), r"misshaped \['head.b'\]"),
+    ],
+)
+def test_network_rejects_stored_parameters_not_matching_it(tmp_path, edit, message):
+    train = _windows(6, 16, 4, seed=5)
+    cfg = ModelConfig(
+        family=Family.PATCH_TRANSFORMER, horizon=4, context_len=16,
+        patch_len=8, patch_stride=4, custom_dims=(8, 16, 1, 2),
+    )
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(fit(cfg, train, None, TrainConfig(max_steps=2, windows_batch=4)), path)
+    loaded = load_checkpoint(path)
+    edit(loaded.params)
+    with pytest.raises(ValueError, match=message):
+        predict(loaded, train.contexts[0])
+
+
 def test_statistical_checkpoint_roundtrip(tmp_path):
     train = _windows(10, 16, 4, seed=3)
     cfg = ModelConfig(family=Family.HOLT, horizon=4, context_len=16)

@@ -371,13 +371,12 @@ def test_cd_diagram_svg_renders_groups():
 
 
 def test_worker_pool_matches_serial(tmp_path, monkeypatch):
-    cfg_path = _write_cfg(tmp_path)
-    cfg = load_config(cfg_path)
+    cfg = load_config(_write_cfg(tmp_path))
     serial_events, pooled_events = [], []
     serial = run_matrix(cfg, out_dir=tmp_path / "serial",
                         progress=lambda **kw: serial_events.append(kw))
     monkeypatch.setenv("SPECBENCH_WORKERS", "2")
-    pooled = run_matrix(cfg, out_dir=tmp_path / "pooled", config_path=cfg_path,
+    pooled = run_matrix(cfg, out_dir=tmp_path / "pooled",
                         progress=lambda **kw: pooled_events.append(kw))
 
     def shapes(events):
@@ -388,6 +387,10 @@ def test_worker_pool_matches_serial(tmp_path, monkeypatch):
         ("done", ("error", "event", "mae", "run_id")),
     }
     assert len(serial_events) == len(pooled_events) == 2 * len(serial)
+    # the serial runner reports each run as it goes; the pool takes every
+    # run before the first finishes
+    assert [e["event"] for e in serial_events] == ["run", "done"] * len(serial)
+    assert [e["event"] for e in pooled_events] == ["run"] * len(serial) + ["done"] * len(serial)
 
     def cells(events):
         return sorted(tuple(sorted(e.items())) for e in events if e["event"] == "run")

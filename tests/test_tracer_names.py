@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from specbench.autodiff import Tape, Tensor, backward, matmul, recording, relu, tsum
+from specbench.autodiff import Tape, Tensor, backward, matmul, mean, recording, relu
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,7 +57,7 @@ def test_op_wrapper_times_the_backward_of_node_records():
             tracer._tape = tape
         with recording(tape):
             hidden = relu(ops.matmul(Tensor(x), params[0]))
-            loss = tsum(ops.matmul(hidden, params[1]))
+            loss = mean(ops.matmul(hidden, params[1]))
         if tracer is not None:
             tracer._tape = None
         return backward(tape, loss, params)

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from specbench.errors import DivergedLoss, UnsupportedFamily
 from specbench.models import (
     Attention,
+    Decomposition,
     Family,
     Head,
     LossKind,
@@ -130,13 +133,59 @@ def test_gradcheck_transformer_losses(loss):
         dict(pos_encoding=PosEncoding.SINCOS),
         dict(pos_encoding=PosEncoding.RELATIVE),
         dict(pos_encoding=PosEncoding.ROPE),
-        dict(decomposition=__import__("specbench.models", fromlist=["Decomposition"]).Decomposition.MOVING_AVG),
+        dict(decomposition=Decomposition.MOVING_AVG),
         dict(scaler=Scaler.ROBUST),
     ],
 )
 def test_gradcheck_transformer_axes(axes):
     cfg = _tiny_transformer(**axes)
     assert _gradcheck_family(cfg) < 1e-4
+
+
+def _two_layer_transformer(**kwargs):
+    return _tiny_cfg(Family.PATCH_TRANSFORMER, custom_dims=(12, 24, 2, 2), **kwargs)
+
+
+# SHA-256 of each network's initial parameter values at seed 1, in
+# declaration order, names excluded. Renaming a parameter keeps these; a
+# changed shape, draw order or initializer moves them.
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        pytest.param(_tiny_cfg(Family.NLINEAR),
+                     "6723d6d0dbeb36f4894a752daba8c04a2e3b8a9ff1e1ce5389d7b778ba854c10",
+                     id="NLINEAR"),
+        pytest.param(_tiny_cfg(Family.DLINEAR),
+                     "a083e378e52606167f81f8331590fa702d2837d7c27f7d84882a02f124ee53b1",
+                     id="DLINEAR"),
+        pytest.param(_tiny_cfg(Family.MLP),
+                     "9c048c43d288bb168beb714cb5883a856123e2e48500acd45d2abe1963e00f4f",
+                     id="MLP"),
+        pytest.param(_tiny_cfg(Family.NBEATS_LITE),
+                     "ecd1b5ecca51533e8c2fd6aaa12759faa058b841dcbc97cfcc16f9e0f319b974",
+                     id="NBEATS_LITE"),
+        pytest.param(_tiny_cfg(Family.NHITS_LITE),
+                     "b20f2e7952011894b758eb391e09eebc68592fd422d30792e535c8ceb8ac369f",
+                     id="NHITS_LITE"),
+        pytest.param(_two_layer_transformer(),
+                     "32974bb094e54f0f09f6320f8235d088a91b1e36e02b5f3d4e350b33ff4689a7",
+                     id="transformer"),
+        pytest.param(_two_layer_transformer(
+                         head=Head.RESIDUAL, loss=LossKind.STUDENT_T,
+                         decomposition=Decomposition.MOVING_AVG, pos_encoding=PosEncoding.ROPE),
+                     "422a218d4bd22e8c5d55205d316dcc561cac1414e2f84fec05663621226e4bbf",
+                     id="transformer-residual"),
+        pytest.param(_two_layer_transformer(tokenization=Tokenization.BINNING),
+                     "875eeca22cd536ee8b6d41e5461e1fca67177fa29d639a3d9b76af998e424ab3",
+                     id="transformer-binning"),
+    ],
+)
+def test_initial_parameters_are_frozen(cfg, expected):
+    net = build_network(cfg, rng_stream(1, f"init/{cfg.family.value}"))
+    digest = hashlib.sha256()
+    for tensor in net.params.values():
+        digest.update(tensor.data.tobytes())
+    assert digest.hexdigest() == expected
 
 
 def test_fit_determinism_bit_identical():
