@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..errors import SpecbenchError
+from ..errors import ConfigError, SpecbenchError
 from ..evaluation import (
     BASIS_WIN_THRESHOLD,
     _midranks,
@@ -95,9 +95,10 @@ def run_id(
     cfg: ExperimentConfig, spec: DatasetSpec, model: ModelSpec, seed: int, mode: str
 ) -> str:
     """Stable id hashing the text of every setting the run uses: the task,
-    the train config with the run's seed, the dataset, and every model
-    field with its defaults filled in, so a changed default is a new id.
-    :data:`RESULT_SCHEMA` is hashed too, so new result code is a new id."""
+    the train config with the run's seed, the dataset (with a csv file's
+    bytes), and every model field with its defaults filled in, so a changed
+    default is a new id. :data:`RESULT_SCHEMA` is hashed too, so new result
+    code is a new id."""
     tables = {
         "task": {**asdict(cfg.task), "stride": cfg.stride, "split_point": cfg.split_point},
         "train": asdict(dataclasses.replace(cfg.train, seed=seed)),
@@ -109,8 +110,19 @@ def run_id(
         for table, values in tables.items()
         for key, value in values.items()
     ]
+    if spec.kind == "csv":
+        parts.append(f"dataset.sha256={_csv_digest(spec.path)}")
     parts += [f"mode={mode}", f"schema={RESULT_SCHEMA}"]
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
+
+
+def _csv_digest(path: str) -> str:
+    """SHA-256 of the file's bytes; "unreadable" if it cannot be read, so
+    that the run, not its id, reports the error."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return "unreadable"
 
 
 _DATASET_CACHE: dict[tuple, list[TimeSeries]] = {}
@@ -126,8 +138,9 @@ def synthetic_dataset(kind: str, n_series: int, seed: int, length: int) -> Synth
 
 
 def resolve_dataset(spec: DatasetSpec) -> list[TimeSeries]:
-    """Materialize a dataset's composed series (cached per spec)."""
-    key = (spec.kind, spec.path, spec.n_series, spec.seed, spec.length, spec.limit_series)
+    """Materialize a dataset's composed series (cached per spec and csv bytes)."""
+    digest = _csv_digest(spec.path) if spec.kind == "csv" else None
+    key = (spec.kind, spec.path, digest, spec.n_series, spec.seed, spec.length, spec.limit_series)
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     if spec.kind == "csv":
@@ -322,6 +335,13 @@ def _run_and_write(job) -> RunResult:
     return result
 
 
+def _worker_count() -> int:
+    text = os.environ.get("SPECBENCH_WORKERS", "").strip() or "1"
+    if not text.isdecimal() or int(text) < 1:
+        raise ConfigError(f"SPECBENCH_WORKERS must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def run_matrix(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -330,10 +350,12 @@ def run_matrix(
     """Execute every (dataset, model, seed, mode) cell, reusing cached runs.
 
     ``SPECBENCH_WORKERS`` > 1 sends the pending runs to that many worker
-    processes. ``progress`` gets ``cached`` per reused run, and ``run`` and
-    ``done`` per executed one: interleaved when serial, every ``run`` first
-    with workers.
+    processes; unset, empty or 1 runs them serially, and any other value
+    raises ConfigError. ``progress`` gets ``cached`` per reused run, and
+    ``run`` and ``done`` per executed one: interleaved when serial, every
+    ``run`` first with workers.
     """
+    workers = _worker_count()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = [
@@ -363,7 +385,6 @@ def run_matrix(
                 progress(event="run", dataset=spec.name, model=model.name, seed=seed, mode=mode)
             yield out, cfg, spec, model, seed, mode
 
-    workers = int(os.environ.get("SPECBENCH_WORKERS", "1") or "1")
     # a pool takes every job before the first run finishes; ``map`` takes
     # each job when the loop asks for its result
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and pending else None

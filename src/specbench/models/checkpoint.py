@@ -11,6 +11,8 @@ Layout:
                      uint8 ndim, uint64-LE dims, float64-LE values
                      (parameter names as-is; fitted statistical state
                      under an ``extra/`` prefix)
+
+A file cut short, or with bytes after its last blob, is rejected naming it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig, TrainConfig, decode_fields, encode_field
-from .training import TrainedModel
+from .training import TrainedModel, load_network
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
@@ -64,18 +66,26 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
+def _unpack(fh, fmt: str) -> tuple:
+    """``struct.unpack`` of the next bytes; ValueError if the file ends first."""
+    size = struct.calcsize(fmt)
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{fh.name} is truncated at byte {fh.tell()}")
+    return struct.unpack(fmt, data)
+
+
 def _read_array(fh) -> np.ndarray:
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
-    return data.reshape(shape)
+    (ndim,) = _unpack(fh, "<B")
+    shape = _unpack(fh, f"<{ndim}Q")
+    (data,) = _unpack(fh, f"{8 * int(np.prod(shape))}s")
+    return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def save_checkpoint(model: TrainedModel, path: str | Path) -> None:
     path = Path(path)
     header = _header_lines(model).encode("utf-8")
-    blobs = {name: arr for name, arr in model.params.items()}
+    blobs = dict(model.params)
     blobs.update({f"extra/{name}": arr for name, arr in model.extra.items()})
     with path.open("wb") as fh:
         fh.write(_MAGIC)
@@ -97,22 +107,24 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
     with path.open("rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        cfg, tc, hist_len = _parse_header(fh.read(header_len).decode("utf-8"))
+        (header_len,) = _unpack(fh, "<I")
+        cfg, tc, hist_len = _parse_header(_unpack(fh, f"{header_len}s")[0].decode("utf-8"))
         cols = [_read_array(fh) for _ in range(3)]
         history = [
             (int(cols[0][i]), float(cols[1][i]), float(cols[2][i]))
             for i in range(hist_len)
         ]
-        (n_blobs,) = struct.unpack("<I", fh.read(4))
+        (n_blobs,) = _unpack(fh, "<I")
         params: dict[str, np.ndarray] = {}
         extra: dict[str, np.ndarray] = {}
         for _ in range(n_blobs):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
+            (name_len,) = _unpack(fh, "<H")
+            name = _unpack(fh, f"{name_len}s")[0].decode("utf-8")
             arr = _read_array(fh)
             if name.startswith("extra/"):
                 extra[name[len("extra/"):]] = arr
             else:
                 params[name] = arr
-    return TrainedModel(config=cfg, train_config=tc, params=params, extra=extra, history=history)
+        if fh.read(1):
+            raise ValueError(f"{path} has bytes after its last blob")
+    return TrainedModel(cfg, tc, load_network(cfg, tc, params), extra, history)

@@ -1,24 +1,20 @@
 """Fitting, forecasting, and embedding extraction for every family.
 
 Gradient families train on per-window-scaled data with Adam and early
-stopping on a validation loss checked every ``val_check_every`` steps;
-the parameters returned are the ones achieving the best recorded
-validation loss. Statistical families fit in closed form and return
-immediately. Everything is deterministic given the training seed.
+stopping on a validation loss checked every ``val_check_every`` steps,
+and keep the network they trained, holding the parameters of the best
+recorded validation loss. Statistical families fit in closed form and
+return immediately. Everything is deterministic given the training seed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from ..autodiff import Tape, Tensor, backward, recording
-from ..errors import (
-    BadContextLength,
-    DivergedLoss,
-    EmptyTrainSet,
-    UnsupportedFamily,
-)
+from ..errors import BadContextLength, DivergedLoss, EmptyTrainSet, UnsupportedFamily
 from ..optim import AdamState, adam_step, rng_stream
 from ..series import Windows
 from .config import Family, LossKind, ModelConfig, TrainConfig
@@ -27,40 +23,48 @@ from .networks import build_network
 from .scalers import apply_scaler, fit_scaler, invert_scaler
 from .statistical import fit_statistical, predict_statistical
 
-__all__ = ["TrainedModel", "fit", "predict", "predict_quantiles", "embed"]
+__all__ = ["TrainedModel", "fit", "load_network", "predict", "predict_quantiles", "embed"]
 
 
 @dataclass
 class TrainedModel:
-    """A fitted forecaster: config, learned state, and training history."""
+    """A fitted forecaster: config, trained network (None if statistical), extra state, history."""
 
     config: ModelConfig
     train_config: TrainConfig
-    params: dict[str, np.ndarray] = field(default_factory=dict)
+    network: object = None
     extra: dict[str, np.ndarray] = field(default_factory=dict)
     history: list[tuple[int, float, float]] = field(default_factory=list)
-    _network: object = field(default=None, repr=False, compare=False)
 
-    def network(self):
-        """Rebuild the forward graph from stored parameters (cached); raises
-        ValueError naming every missing, unknown or misshaped parameter."""
-        if self.config.is_statistical:
-            raise UnsupportedFamily(f"{self.config.family} has no network")
-        if self._network is None:
-            net = build_network(self.config, rng_stream(0, "rebuild"))
-            want = {name: t.shape for name, t in net.params.items()}
-            have = {name: np.shape(arr) for name, arr in self.params.items()}
-            if have != want:
-                misshaped = sorted(n for n in want.keys() & have.keys() if want[n] != have[n])
-                raise ValueError(
-                    f"stored parameters do not match the network: missing "
-                    f"{sorted(want.keys() - have.keys())}, unknown "
-                    f"{sorted(have.keys() - want.keys())}, misshaped {misshaped}"
-                )
-            for name, tensor in net.params.items():
-                tensor.data = np.array(self.params[name], dtype=np.float64)
-            self._network = net
-        return self._network
+    @property
+    def params(self) -> MappingProxyType:
+        """Read-only view of the network's parameter arrays by name, empty for statistical
+        families. The arrays are the network's own: an in-place edit reaches the forecast."""
+        tensors = self.network.params if self.network is not None else {}
+        return MappingProxyType({name: t.data for name, t in tensors.items()})
+
+
+def _init_network(config: ModelConfig, tc: TrainConfig):
+    return build_network(config, rng_stream(tc.seed, f"init/{config.family.value}"))
+
+
+def load_network(config: ModelConfig, tc: TrainConfig, params: dict[str, np.ndarray]):
+    """The network :func:`fit` builds, holding ``params`` (None if statistical). Raises
+    ValueError naming every missing, unknown or misshaped parameter."""
+    net = None if config.is_statistical else _init_network(config, tc)
+    tensors = net.params if net is not None else {}
+    want = {name: t.shape for name, t in tensors.items()}
+    have = {name: np.shape(arr) for name, arr in params.items()}
+    if have != want:
+        misshaped = sorted(n for n in want.keys() & have.keys() if want[n] != have[n])
+        raise ValueError(
+            f"stored parameters do not match the network: missing "
+            f"{sorted(want.keys() - have.keys())}, unknown "
+            f"{sorted(have.keys() - want.keys())}, misshaped {misshaped}"
+        )
+    for name, tensor in tensors.items():
+        tensor.data = np.ascontiguousarray(params[name], dtype=np.float64)
+    return net
 
 
 def _check_shapes(cfg: ModelConfig, windows: Windows, label: str) -> None:
@@ -91,16 +95,10 @@ def _batch_loss(net, cfg, contexts, targets, train_rng=None, dropout=0.0) -> Ten
     return _graph_loss(cfg.loss, scaled_tgt, pred)
 
 
-def fit(
-    config: ModelConfig,
-    train: Windows,
-    valid: Windows | None,
-    tc: TrainConfig,
-) -> TrainedModel:
+def fit(config: ModelConfig, train: Windows, valid: Windows | None,
+        tc: TrainConfig) -> TrainedModel:
     """Fit one model; see the module docstring for the training protocol.
-
-    Without validation windows, the training loss stands in for it.
-    """
+    Without validation windows, the training loss stands in for it."""
     if not train:
         raise EmptyTrainSet("fit() needs at least one training window")
     _check_shapes(config, train, "train")
@@ -111,19 +109,14 @@ def fit(
         extra = fit_statistical(config, train)
         return TrainedModel(config=config, train_config=tc, extra=extra)
 
-    net = build_network(config, rng_stream(tc.seed, f"init/{config.family.value}"))
+    net = _init_network(config, tc)
     batch_rng = rng_stream(tc.seed, "batches")
     dropout_rng = rng_stream(tc.seed, "dropout")
     state = AdamState()
-
-    def validation_loss() -> float:
-        loss = _batch_loss(net, config, valid.contexts, valid.targets)
-        return loss.data.item()
-
     names = list(net.params)
     tensors = [net.params[n] for n in names]
     best_val = np.inf
-    best_params: dict[str, np.ndarray] | None = None
+    best: dict[str, np.ndarray] = {}
     bad_checks = 0
     history: list[tuple[int, float, float]] = []
 
@@ -137,36 +130,30 @@ def fit(
             )
         train_loss = loss.data.item()
         if not np.isfinite(train_loss):
-            raise DivergedLoss(
-                f"{config.family.value} step {step}: non-finite training loss"
-            )
+            raise DivergedLoss(f"{config.family.value} step {step}: non-finite training loss")
         grads = dict(zip(names, backward(tape, loss, tensors)))
         adam_step(net.params, grads, state, lr=tc.lr)
 
         if step % tc.val_check_every == 0 or step == tc.max_steps:
-            val_loss = validation_loss() if valid else train_loss
+            val_loss = train_loss
+            if valid:
+                val_loss = _batch_loss(net, config, valid.contexts, valid.targets).data.item()
             if not np.isfinite(val_loss):
-                raise DivergedLoss(
-                    f"{config.family.value} step {step}: non-finite validation loss"
-                )
+                raise DivergedLoss(f"{config.family.value} step {step}: non-finite validation loss")
             history.append((step, train_loss, val_loss))
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = {n: net.params[n].data.copy() for n in names}
+                best = {n: net.params[n].data.copy() for n in names}
                 bad_checks = 0
             else:
                 bad_checks += 1
                 if bad_checks >= tc.patience:
                     break
 
-    if best_params is None:
-        best_params = {n: net.params[n].data.copy() for n in names}
-    return TrainedModel(
-        config=config,
-        train_config=tc,
-        params=best_params,
-        history=history,
-    )
+    # the last step always checks, so ``best`` holds the best check's arrays
+    for name, arr in best.items():
+        net.params[name].data = arr
+    return TrainedModel(config=config, train_config=tc, network=net, history=history)
 
 
 def _as_rows(model: TrainedModel, context: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -191,7 +178,7 @@ def predict(model: TrainedModel, context: np.ndarray) -> np.ndarray:
         out = np.stack([predict_statistical(model.config, model.extra, row) for row in rows])
     else:
         scaled, state = _scaled(model, rows)
-        out = model.network().forward(scaled)
+        out = model.network.forward(scaled)
         if model.config.loss is LossKind.STUDENT_T:
             out = out[0]
         out = invert_scaler(state, out.data)
@@ -203,13 +190,13 @@ def predict_quantiles(
 ) -> dict[float, np.ndarray]:
     """Quantile forecasts from the Student-t head (emitted, never scored),
     shaped as :func:`predict` shapes its forecasts."""
-    if model.config.loss is not LossKind.STUDENT_T:
-        raise UnsupportedFamily("quantiles require the STUDENT_T loss head")
+    if model.network is None or model.config.loss is not LossKind.STUDENT_T:
+        raise UnsupportedFamily("quantiles require a network with the STUDENT_T loss head")
     from scipy import stats
 
     rows, single = _as_rows(model, context)
     scaled, state = _scaled(model, rows)
-    mu, sigma, nu = model.network().forward(scaled)
+    mu, sigma, nu = model.network.forward(scaled)
     out = {}
     for q in qs:
         quantile = invert_scaler(state, mu.data + sigma.data * stats.t.ppf(q, df=nu.data))
@@ -223,5 +210,5 @@ def embed(model: TrainedModel, context: np.ndarray) -> np.ndarray:
     if model.config.family is not Family.PATCH_TRANSFORMER:
         raise UnsupportedFamily("embeddings are defined for PATCH_TRANSFORMER only")
     rows, single = _as_rows(model, context)
-    out = model.network().encode(_scaled(model, rows)[0]).data
+    out = model.network.encode(_scaled(model, rows)[0]).data
     return out[0] if single else out

@@ -1,4 +1,6 @@
+import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,12 +70,15 @@ def test_network_rejects_stored_parameters_not_matching_it(tmp_path, edit, messa
         family=Family.PATCH_TRANSFORMER, horizon=4, context_len=16,
         patch_len=8, patch_stride=4, custom_dims=(8, 16, 1, 2),
     )
+    model = fit(cfg, train, None, TrainConfig(max_steps=2, windows_batch=4))
+    params = dict(model.params)
+    edit(params)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(fit(cfg, train, None, TrainConfig(max_steps=2, windows_batch=4)), path)
-    loaded = load_checkpoint(path)
-    edit(loaded.params)
+    # ``save_checkpoint`` reads these fields only, so it writes the edited parameters
+    save_checkpoint(SimpleNamespace(config=cfg, train_config=model.train_config, params=params,
+                                    extra={}, history=model.history), path)
     with pytest.raises(ValueError, match=message):
-        predict(loaded, train.contexts[0])
+        load_checkpoint(path)
 
 
 def test_statistical_checkpoint_roundtrip(tmp_path):
@@ -127,4 +132,28 @@ def test_checkpoint_rejects_header_not_matching_config_fields(tmp_path, edit):
         data[:start] + struct.pack("<I", len(header)) + header + data[start + 4 + header_len:]
     )
     with pytest.raises(ValueError, match="checkpoint header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("family", [Family.NLINEAR, Family.HOLT])
+def test_checkpoint_cut_short_is_rejected_naming_it(tmp_path, family):
+    cfg = ModelConfig(family=family, horizon=4, context_len=16)
+    whole = tmp_path / "whole.ckpt"
+    tc = TrainConfig(max_steps=4, val_check_every=2, windows_batch=4)
+    save_checkpoint(fit(cfg, _windows(6, 16, 4), None, tc), whole)
+    data = whole.read_bytes()
+    path = tmp_path / "cut.ckpt"
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("tail", [b"\0", b"unexpected trailing text"])
+def test_checkpoint_with_bytes_after_its_last_blob_is_rejected(tmp_path, tail):
+    cfg = ModelConfig(family=Family.NLINEAR, horizon=4, context_len=16)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(fit(cfg, _windows(6, 16, 4), None, TrainConfig(max_steps=2, windows_batch=4)), path)
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(ValueError, match=re.escape(f"{path} has bytes after its last blob")):
         load_checkpoint(path)

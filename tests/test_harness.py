@@ -16,8 +16,10 @@ from specbench.harness import (
     run_matrix,
 )
 from specbench.evaluation import ScoreMatrix, cd_analysis
-from specbench.harness import runner
+from specbench.harness import cli, runner
 from specbench.models import Family, ModelConfig, ModelSize, Tokenization, TrainConfig
+from specbench.preprocess import write_csv
+from specbench.series import TimeSeries
 
 CFG_TEXT = """
 # tiny experiment
@@ -499,3 +501,54 @@ def test_aggregate_two_datasets_three_models(tmp_path):
     report = aggregate(out)
     assert report["avg_ranks"]["ID"] == {"m1": 1.0, "m2": 2.0, "m3": 3.0}
     assert report["cd"] == {}  # the signed-rank test needs three datasets
+
+
+def _csv_cfg(tmp_path, amplitude):
+    """A one-model config over a csv dataset of two series, each a sum of
+    two sinusoids scaled by ``amplitude``."""
+    data = tmp_path / "data.csv"
+    t = 2 * np.pi * np.arange(320) / 320
+    write_csv(data, [TimeSeries(id=f"s{i}", values=amplitude * (np.sin(3 * t) + np.sin((i + 7) * t)))
+                     for i in range(2)])
+    path = tmp_path / "csv.cfg"
+    path.write_text(CFG_TEXT.replace('kind = sinusoid\nn_series = 2\nseed = 3\nlength = 320',
+                                     f"kind = csv\npath = {data}")
+                            .replace('[model "nlin"]\nfamily = NLINEAR\n', ""))
+    return load_config(path), data
+
+
+def test_run_id_hashes_csv_bytes(tmp_path):
+    cfg, data = _csv_cfg(tmp_path, 1.0)
+    out = tmp_path / "res"
+    first = run_matrix(cfg, out_dir=out)
+    assert all(r.error is None for r in first)
+    # the same path with new bytes is a new run, not a cached one
+    _csv_cfg(tmp_path, 100.0)
+    events = []
+    second = run_matrix(cfg, out_dir=out, progress=lambda **kw: events.append(kw["event"]))
+    assert "cached" not in events
+    assert {r.run_id for r in first}.isdisjoint(r.run_id for r in second)
+    for a, b in zip(first, second):
+        assert b.mae == pytest.approx(100 * a.mae)
+    # a missing file is recorded as an error in every run
+    data.unlink()
+    missing = run_matrix(cfg, out_dir=out)
+    assert all(r.error.startswith("FileNotFoundError") for r in missing)
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SPECBENCH_WORKERS", value)
+    cfg_path = _write_cfg(tmp_path)
+    with pytest.raises(ConfigError, match="SPECBENCH_WORKERS"):
+        run_matrix(load_config(cfg_path), out_dir=tmp_path / "res")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 1
+    assert "error: SPECBENCH_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, "", " ", "1"])
+def test_unset_or_one_worker_is_serial(monkeypatch, value):
+    monkeypatch.delenv("SPECBENCH_WORKERS", raising=False)
+    if value is not None:
+        monkeypatch.setenv("SPECBENCH_WORKERS", value)
+    assert runner._worker_count() == 1

@@ -18,8 +18,10 @@ from specbench.models import (
     TrainConfig,
     embed,
     fit,
+    load_checkpoint,
     predict,
     predict_quantiles,
+    save_checkpoint,
 )
 from specbench.models import training
 from specbench.models.networks import build_network
@@ -234,7 +236,7 @@ def test_early_stopping_restores_best_validation():
     # recompute validation loss at the returned parameters
     from specbench.models.training import _batch_loss
 
-    net = model.network()
+    net = model.network
     val_loss = _batch_loss(net, cfg, valid.contexts, valid.targets).data.item()
     assert val_loss == pytest.approx(best_recorded, abs=1e-12)
     assert model.history == sorted(model.history, key=lambda rec: rec[0])
@@ -377,3 +379,46 @@ def test_predict_on_rows_matches_one_context_at_a_time(cfg):
             quantiles, np.stack([predict_quantiles(model, c, qs=(0.9,))[0.9] for c in train.contexts]),
             rtol=1e-12, atol=1e-12,
         )
+
+
+def test_params_is_a_read_only_view_of_the_forecasting_network():
+    train = _sine_windows(12, 16, 4, seed=15, noise=0.1)
+    model = fit(_tiny_cfg(Family.NLINEAR), train, None, TrainConfig(max_steps=3, windows_batch=4))
+    before = predict(model, train.contexts)
+    with pytest.raises(TypeError):
+        model.params["proj.w"] = np.zeros_like(model.params["proj.w"])
+    np.testing.assert_array_equal(predict(model, train.contexts), before)
+    # the view holds the network's own arrays, so an in-place edit reaches the forecast
+    model.params["proj.w"][...] = 0.0
+    assert not np.array_equal(predict(model, train.contexts), before)
+
+
+def test_forecasts_use_the_trained_network_without_rebuilding_it(tmp_path, monkeypatch):
+    builds = []
+
+    def counting_build_network(cfg, rng):
+        builds.append(cfg.family)
+        return build_network(cfg, rng)
+
+    monkeypatch.setattr(training, "build_network", counting_build_network)
+    train = _sine_windows(12, 16, 4, seed=16, noise=0.1)
+    model = fit(_tiny_transformer(loss=LossKind.STUDENT_T), train, None,
+                TrainConfig(max_steps=3, windows_batch=4))
+    assert len(builds) == 1
+    predict(model, train.contexts)
+    embed(model, train.contexts)
+    predict_quantiles(model, train.contexts)
+    assert len(builds) == 1
+    save_checkpoint(model, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt")
+    assert len(builds) == 2
+    np.testing.assert_array_equal(predict(loaded, train.contexts), predict(model, train.contexts))
+    assert len(builds) == 2
+
+
+def test_statistical_student_t_has_no_quantiles():
+    train = _sine_windows(12, 16, 4, seed=17)
+    model = fit(_tiny_cfg(Family.HOLT, loss=LossKind.STUDENT_T), train, None, TrainConfig())
+    assert model.network is None and model.params == {}
+    with pytest.raises(UnsupportedFamily):
+        predict_quantiles(model, train.contexts[0])
