@@ -24,10 +24,10 @@ print(f"series {series.id!r}: length {len(series)}")
 # The generator stored the two ground-truth components; the spectrum
 # recovers them exactly because frequencies sit on the DFT grid.
 dec = dft(series.values)
-for comp, part in zip(top_k_components(dec, 2), dataset.components[0]):
+for w, amp, phase, part in zip(*top_k_components(dec, 2), dataset.components[0]):
     print(
-        f"  bin {comp.freq_index:3d}  amplitude {comp.amplitude:7.3f}  "
-        f"phase {comp.phase:+.3f}   (generator component {part.id!r})"
+        f"  bin {w:3d}  amplitude {amp:7.3f}  "
+        f"phase {phase:+.3f}   (generator component {part.id!r})"
     )
 
 task = ForecastTask(context_len=256, horizon=192)

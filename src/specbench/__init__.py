@@ -10,7 +10,6 @@ from __future__ import annotations
 from . import errors
 from .series import ForecastTask, TimeSeries, Windows, make_windows
 from .spectral import (
-    BasisComponent,
     SpectralDecomposition,
     basis_series,
     dft,
@@ -65,7 +64,7 @@ __all__ = [
     "errors",
     "TimeSeries", "ForecastTask", "Windows", "SplitDataset", "make_windows",
     "split_windows",
-    "SpectralDecomposition", "BasisComponent", "dft", "reconstruct_full",
+    "SpectralDecomposition", "dft", "reconstruct_full",
     "sorted_components", "top_k_components", "basis_series", "partial_sum",
     "SinusoidKind", "SinusoidSpec", "TrendSpec", "SyntheticVariant",
     "SyntheticDataset", "gen_sinusoid", "gen_trend", "gen_sinusoid_dataset",

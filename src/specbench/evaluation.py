@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateInput, KTooLarge, ShapeMismatch, TooFewMethods
-from .spectral import SpectralDecomposition, component_arrays, partial_sums
+from .spectral import SpectralDecomposition, partial_sums, sorted_components
 
 __all__ = [
     "ScoreMatrix",
@@ -126,7 +126,7 @@ def basis_win_report(
             f"shapes {y.shape} vs {yhat.shape} with bounds {bounds.shape} must agree"
         )
     scores = np.mean(np.abs(y - yhat), axis=1)
-    components = component_arrays(dec)
+    components = sorted_components(dec)
     n_comp = components[0].size
     lo, hi = bounds[:, 0], bounds[:, 1]
     order = np.argsort(lo, kind="stable")

@@ -1,8 +1,8 @@
 """Command-line interface: gen, prep, run, eval, plot, cka.
 
-Exit codes: 0 success, 1 user error (bad flags, malformed input, missing
-files), 2 internal error. Progress is written as machine-readable
-``event=... key=value`` lines on standard output.
+Exit codes: 0 success, 1 user error (bad flags, malformed input, files
+that cannot be read or written), 2 internal error. Progress is written as
+machine-readable ``event=... key=value`` lines on standard output.
 """
 from __future__ import annotations
 
@@ -243,10 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SpecbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

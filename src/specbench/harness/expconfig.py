@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..models.config import PER_RUN, Family, ModelConfig, TrainConfig, decode_fields
+from ..models.config import DEFAULT_SEEDS, PER_RUN, Family, ModelConfig, TrainConfig, decode_fields
 from ..series import ForecastTask
 from ..synthgen import DEFAULT_LENGTH
 
@@ -79,7 +79,7 @@ class ExperimentConfig:
     task: ForecastTask
     datasets: list[DatasetSpec]
     models: list[ModelSpec]
-    seeds: tuple[int, ...] = (1, 5, 10)
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
     stride: int = 1
     split_point: int | None = None  # None: per-series length - horizon
     train: TrainConfig = field(default_factory=TrainConfig)

@@ -10,7 +10,6 @@ the matrix.
 """
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
@@ -202,10 +201,8 @@ def _source_windows(
         sources = [series]
     else:
         dec = dec if dec is not None else dft(series.values)
-        sources = [
-            TimeSeries(series.id, basis_series(comp, dec.n, (0, len(series))))
-            for comp in top_k_components(dec, k)
-        ]
+        basis = basis_series(top_k_components(dec, k), dec.n, (0, len(series)))
+        sources = [TimeSeries(series.id, row) for row in basis]
     train, valid = [], []
     for source in sources:
         train.append(make_windows(source, task, stride, (0, split_point - h)))
@@ -305,32 +302,11 @@ def _read_runs(results_dir: Path) -> Iterator[RunResult]:
         yield run
 
 
-try:  # glibc only; elsewhere freed memory is left to the allocator
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-except (OSError, AttributeError, TypeError):
-    _malloc_trim = None
-
-
-def _release_freed_memory() -> None:
-    """Return the C heap's free pages to the OS between runs.
-
-    glibc keeps freed heap pages resident while a live block sits above
-    them, so what one model's training leaves resident depends on where
-    its last allocations landed, and the next run's peak stacks on top of
-    it. Trimming after every run makes a matrix's peak memory the same
-    from one invocation to the next.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
-
 def _run_and_write(job) -> RunResult:
-    """Execute one ``(out, cfg, spec, model, seed, mode)`` job, return its
-    freed memory to the OS and write its run file. Jobs pickle as they are."""
+    """Execute one ``(out, cfg, spec, model, seed, mode)`` job and write its
+    run file. Jobs pickle as they are."""
     out, cfg, spec, model, seed, mode = job
     result = execute_run(cfg, spec, model, seed, mode)
-    _release_freed_memory()
     _write_run(out, result)
     return result
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import EmptyTrainSet
 from ..series import Windows
-from ..spectral import component_arrays, dft
+from ..spectral import dft, sorted_components
 from .config import Family, ModelConfig
 
 __all__ = [
@@ -42,26 +42,30 @@ def _sequences(train: Windows, cap: int = _MAX_FIT_WINDOWS) -> tuple[np.ndarray,
 
 def dominant_period(context: np.ndarray) -> int:
     """Period (in samples) of the largest non-DC spectral bin of the context."""
-    freq, _, _ = component_arrays(dft(context))
+    freq, _, _ = sorted_components(dft(context))
     freq = freq[freq > 0]
     if not freq.size:
         return 1
     return max(1, round(len(context) / int(freq[0])))
 
 
-def _ses_sweep(seqs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Mean one-step absolute error per alpha (levels start at the first value)."""
+def _ses_sweep(seqs: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean one-step absolute error per alpha (levels start at the first
+    value), and the final (W, alphas) levels."""
     W, L = seqs.shape
     level = np.repeat(seqs[:, :1], len(alphas), axis=1)
     err = np.zeros(len(alphas))
     for t in range(1, L):
         err += np.abs(seqs[:, t : t + 1] - level).sum(axis=0)
         level = alphas[None, :] * seqs[:, t : t + 1] + (1 - alphas[None, :]) * level
-    return err / (W * (L - 1))
+    return err / max(1, W * (L - 1)), level
 
 
-def _holt_sweep(seqs: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Mean one-step absolute error per (alpha, beta) pair, flattened."""
+def _holt_sweep(
+    seqs: np.ndarray, alphas: np.ndarray, betas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean one-step absolute error per (alpha, beta) pair, flattened, and
+    the final (W, pairs) levels and trends."""
     W, L = seqs.shape
     A = len(alphas) * len(betas)
     a = np.repeat(alphas, len(betas))[None, :]
@@ -76,7 +80,7 @@ def _holt_sweep(seqs: np.ndarray, alphas: np.ndarray, betas: np.ndarray) -> np.n
         new_level = a * seqs[:, t : t + 1] + (1 - a) * pred
         trend = b * (new_level - level) + (1 - b) * trend
         level = new_level
-    return err / (W * (L - 2))
+    return err / max(1, W * (L - 2)), level, trend
 
 
 def _fit_ar(train: Windows, order: int) -> np.ndarray:
@@ -129,10 +133,10 @@ def fit_statistical(config: ModelConfig, train: Windows) -> dict[str, np.ndarray
     if family in (Family.NAIVE_LAST, Family.SEASONAL_NAIVE):
         return {}
     if family is Family.SES:
-        errors = _ses_sweep(_sequences(train)[0], SMOOTHING_GRID)
+        errors, _ = _ses_sweep(_sequences(train)[0], SMOOTHING_GRID)
         return {"alpha": np.array([SMOOTHING_GRID[int(np.argmin(errors))]])}
     if family is Family.HOLT:
-        errors = _holt_sweep(_sequences(train)[0], SMOOTHING_GRID, SMOOTHING_GRID)
+        errors, _, _ = _holt_sweep(_sequences(train)[0], SMOOTHING_GRID, SMOOTHING_GRID)
         best = int(np.argmin(errors))
         alpha = SMOOTHING_GRID[best // len(SMOOTHING_GRID)]
         beta = SMOOTHING_GRID[best % len(SMOOTHING_GRID)]
@@ -143,42 +147,35 @@ def fit_statistical(config: ModelConfig, train: Windows) -> dict[str, np.ndarray
 
 
 def predict_statistical(
-    config: ModelConfig, extra: dict[str, np.ndarray], context: np.ndarray
+    config: ModelConfig, extra: dict[str, np.ndarray], rows: np.ndarray
 ) -> np.ndarray:
+    """Forecasts (n, h) for the context rows (n, l). SES and HOLT run the
+    recursion of their grid fit with the fitted constants."""
     family = config.family
     h = config.horizon
-    context = np.asarray(context, dtype=np.float64)
     if family is Family.NAIVE_LAST:
-        return np.full(h, context[-1])
-    if family is Family.SEASONAL_NAIVE:
-        period = dominant_period(context)
-        last_cycle = context[-period:]
-        return np.resize(last_cycle, h)
+        return np.repeat(rows[:, -1:], h, axis=1)
     if family is Family.SES:
-        alpha = float(extra["alpha"][0])
-        level = context[0]
-        for value in context[1:]:
-            level = alpha * value + (1 - alpha) * level
-        return np.full(h, level)
+        _, level = _ses_sweep(rows, extra["alpha"])
+        return np.repeat(level, h, axis=1)
     if family is Family.HOLT:
-        alpha = float(extra["alpha"][0])
-        beta = float(extra["beta"][0])
-        level = context[1]
-        trend = context[1] - context[0]
-        for value in context[2:]:
-            pred = level + trend
-            new_level = alpha * value + (1 - alpha) * pred
-            trend = beta * (new_level - level) + (1 - beta) * trend
-            level = new_level
+        _, level, trend = _holt_sweep(rows, extra["alpha"], extra["beta"])
         return level + trend * np.arange(1, h + 1)
+    if family is Family.SEASONAL_NAIVE:
+        return np.reshape([np.resize(r[-dominant_period(r) :], h) for r in rows], (-1, h))
     if family is Family.AR_LS:
-        beta = extra["coef"]
-        order = beta.size - 1
-        buf = list(context[-order:][::-1])  # most recent first
-        out = np.empty(h)
-        for i in range(h):
-            nxt = float(np.dot(beta[:-1], buf) + beta[-1])
-            out[i] = nxt
-            buf = [nxt] + buf[:-1]
-        return out
+        return np.reshape([_ar_forecast(extra["coef"], r, h) for r in rows], (-1, h))
     raise ValueError(f"{family} is not a statistical family")
+
+
+def _ar_forecast(beta: np.ndarray, context: np.ndarray, h: int) -> np.ndarray:
+    """Recursive AR forecast of one context row. Each step is one ``np.dot``
+    of two vectors; a matrix product over rows would sum in another order."""
+    order = beta.size - 1
+    buf = list(context[-order:][::-1])  # most recent first
+    out = np.empty(h)
+    for i in range(h):
+        nxt = float(np.dot(beta[:-1], buf) + beta[-1])
+        out[i] = nxt
+        buf = [nxt] + buf[:-1]
+    return out

@@ -175,7 +175,7 @@ def predict(model: TrainedModel, context: np.ndarray) -> np.ndarray:
     (h,) for one context (l,), (n, h) for n contexts (n, l)."""
     rows, single = _as_rows(model, context)
     if model.config.is_statistical:
-        out = np.stack([predict_statistical(model.config, model.extra, row) for row in rows])
+        out = predict_statistical(model.config, model.extra, rows)
     else:
         scaled, state = _scaled(model, rows)
         out = model.network.forward(scaled)

@@ -112,7 +112,7 @@ def write_csv(path: str | Path, series: list[TimeSeries]) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("unique_id,ds,y\n")
         for ts in series:
-            for t, value in enumerate(ts.values, start=ts.origin_index):
+            for t, value in enumerate(ts.values):
                 fh.write(f"{ts.id},{t},{float(value)!r}\n")
 
 

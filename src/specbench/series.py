@@ -25,7 +25,6 @@ class TimeSeries:
 
     id: str
     values: np.ndarray
-    origin_index: int = 0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)

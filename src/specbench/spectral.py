@@ -7,6 +7,10 @@ Conjugate bin pairs ``(w, n-w)`` collapse into single real sinusoids
 ``amplitude * cos(2 pi w t / n + phase)``; a series is decomposed over its
 full index range so the top-k sinusoids are exactly the basis functions
 that compose it, and they extend deterministically over any index window.
+
+A set of components is always one triple of equal-length arrays
+``(freq_index, amplitude, phase)``, sorted by descending amplitude, from
+:func:`sorted_components` through :func:`basis_series` to the scores.
 """
 from __future__ import annotations
 
@@ -19,16 +23,17 @@ from .errors import KTooLarge, NonFinite
 
 __all__ = [
     "SpectralDecomposition",
-    "BasisComponent",
     "dft",
     "reconstruct_full",
-    "component_arrays",
     "sorted_components",
     "top_k_components",
     "basis_series",
     "partial_sums",
     "partial_sum",
 ]
+
+# (freq_index, amplitude, phase), one entry per component
+Components = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # Pair-collapsed amplitudes below max_amplitude * _NONZERO_RTOL are treated as
 # numerical residue, not real components.
@@ -49,20 +54,6 @@ class SpectralDecomposition:
             raise ValueError("coeffs must be a 1-d array of length n")
 
 
-@dataclass(frozen=True)
-class BasisComponent:
-    """One real sinusoid collapsed from a conjugate bin pair.
-
-    ``is_pair`` is False only for the DC bin and (even ``n``) the Nyquist
-    bin, whose amplitude is ``|c_w|`` rather than ``2 |c_w|``.
-    """
-
-    freq_index: int
-    amplitude: float
-    phase: float
-    is_pair: bool
-
-
 def dft(values: np.ndarray) -> SpectralDecomposition:
     """Decompose a real series with numpy's FFT in O(n log n)."""
     values = np.asarray(values, dtype=np.float64)
@@ -78,7 +69,7 @@ def reconstruct_full(dec: SpectralDecomposition) -> np.ndarray:
     return np.real(np.fft.ifft(dec.coeffs, norm="forward"))
 
 
-def component_arrays(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sorted_components(dec: SpectralDecomposition) -> Components:
     """``(freq_index, amplitude, phase)`` of the pair-collapsed components
     with non-negligible amplitude, sorted by descending amplitude (ties:
     lower frequency first).
@@ -107,65 +98,39 @@ def component_arrays(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray
     return order, amplitude[order], phase[order]
 
 
-def _as_components(
-    n: int, freq: np.ndarray, amp: np.ndarray, phase: np.ndarray
-) -> list[BasisComponent]:
-    return [
-        BasisComponent(w, a, p, 0 < 2 * w < n)
-        for w, a, p in zip(freq.tolist(), amp.tolist(), phase.tolist())
-    ]
-
-
-def sorted_components(dec: SpectralDecomposition) -> list[BasisComponent]:
-    """All pair-collapsed components with non-negligible amplitude,
-    sorted by descending amplitude (ties: lower frequency first)."""
-    return _as_components(dec.n, *component_arrays(dec))
-
-
-def _top_k_arrays(dec: SpectralDecomposition, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if k <= 0:
-        raise ValueError("k must be positive")
-    freq, amp, phase = component_arrays(dec)
-    if k > freq.size:
-        raise KTooLarge(f"k={k} exceeds the {freq.size} nonzero components")
-    return freq[:k], amp[:k], phase[:k]
-
-
-def top_k_components(dec: SpectralDecomposition, k: int) -> list[BasisComponent]:
-    """The k largest pair-collapsed components.
+def top_k_components(dec: SpectralDecomposition, k: int) -> Components:
+    """The k largest components, as the first k entries of
+    :func:`sorted_components`.
 
     Raises
     ------
     KTooLarge
         If fewer than ``k`` components have nonzero amplitude.
     """
-    return _as_components(dec.n, *_top_k_arrays(dec, k))
+    if k <= 0:
+        raise ValueError("k must be positive")
+    freq, amp, phase = sorted_components(dec)
+    if k > freq.size:
+        raise KTooLarge(f"k={k} exceeds the {freq.size} nonzero components")
+    return freq[:k], amp[:k], phase[:k]
 
 
-def basis_series(comp: BasisComponent, n: int, bounds: tuple[int, int]) -> np.ndarray:
-    """Evaluate ``amplitude * cos(2 pi w t / n + phase)`` for t in [lo, hi)."""
-    lo, hi = bounds
-    t = np.arange(lo, hi, dtype=np.float64)
-    return comp.amplitude * np.cos(2.0 * np.pi * comp.freq_index * t / n + comp.phase)
-
-
-def partial_sums(
-    components: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, bounds: tuple[int, int]
-) -> np.ndarray:
-    """``(K, hi - lo)`` matrix whose row ``k - 1`` is the pointwise sum of
-    the first k of ``components`` (as from :func:`component_arrays`).
-
-    Each cell is :func:`basis_series`' expression, and ``cumsum`` adds the
-    rows in order, so row ``k - 1`` equals the running sum of the first k
-    basis series bit for bit.
-    """
+def basis_series(components: Components, n: int, bounds: tuple[int, int]) -> np.ndarray:
+    """``(K, hi - lo)`` matrix whose row i is component i's sinusoid
+    ``amplitude * cos(2 pi w t / n + phase)`` for t in [lo, hi)."""
     freq, amp, phase = components
     lo, hi = bounds
     t = np.arange(lo, hi, dtype=np.float64)
-    basis = amp[:, None] * np.cos(2.0 * np.pi * freq[:, None] * t / n + phase[:, None])
-    return np.cumsum(basis, axis=0)
+    return amp[:, None] * np.cos(2.0 * np.pi * freq[:, None] * t / n + phase[:, None])
+
+
+def partial_sums(components: Components, n: int, bounds: tuple[int, int]) -> np.ndarray:
+    """``(K, hi - lo)`` matrix whose row ``k - 1`` is the pointwise sum of
+    the first k rows of :func:`basis_series`; ``cumsum`` adds them in order,
+    so each row equals the running sum one row at a time bit for bit."""
+    return np.cumsum(basis_series(components, n, bounds), axis=0)
 
 
 def partial_sum(dec: SpectralDecomposition, k: int, bounds: tuple[int, int]) -> np.ndarray:
     """Pointwise sum of the top-k basis series over ``bounds``."""
-    return partial_sums(_top_k_arrays(dec, k), dec.n, bounds)[-1]
+    return partial_sums(top_k_components(dec, k), dec.n, bounds)[-1]

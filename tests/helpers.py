@@ -67,15 +67,24 @@ def sorted_components_reference(dec) -> list[tuple[int, float, float]]:
     return sorted((c for c in comps if c[1] > tol), key=lambda c: (-c[1], c[0]))
 
 
+def basis_series_reference(dec, bounds) -> list[np.ndarray]:
+    """Each component's sinusoid over ``bounds``, in sorted order, from its
+    scalar frequency, amplitude and phase."""
+    lo, hi = bounds
+    t = np.arange(lo, hi, dtype=np.float64)
+    return [
+        amp * np.cos(2.0 * np.pi * w * t / dec.n + phase)
+        for w, amp, phase in sorted_components_reference(dec)
+    ]
+
+
 def running_sums_reference(dec, bounds) -> list[np.ndarray]:
     """Cumulative top-k reconstructions over ``bounds`` for k = 1..K, added
     one basis series at a time."""
-    lo, hi = bounds
-    t = np.arange(lo, hi, dtype=np.float64)
-    running = np.zeros(hi - lo)
+    running = np.zeros(bounds[1] - bounds[0])
     sums = []
-    for w, amp, phase in sorted_components_reference(dec):
-        running = running + amp * np.cos(2.0 * np.pi * w * t / dec.n + phase)
+    for term in basis_series_reference(dec, bounds):
+        running = running + term
         sums.append(running)
     return sums
 

@@ -94,6 +94,16 @@ def test_run_eval_plot_pipeline(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "event=run_done" in stdout and "event=eval_done" in stdout
 
+    # an output path that is a file, or a report path that is a directory,
+    # is a user error
+    capsys.readouterr()
+    assert main(["gen", "--kind", "sinusoid", "--n", "1", "--seed", "1",
+                 "--length", "320", "--out", str(report_path)]) == 1
+    assert main(["run", "--config", str(cfg_path), "--out", str(report_path)]) == 1
+    assert main(["eval", "--results", str(results), "--report", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "internal error" not in err
+
 
 def test_eval_names_an_unreadable_run_file(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"

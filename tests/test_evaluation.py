@@ -63,7 +63,7 @@ def test_exact_prediction_wins_every_k():
     target = y[bounds[0] : bounds[1]]
     report = basis_win_report(target, target, dec, bounds)
     assert all(report.wins)
-    assert report.k_max == len(sorted_components(dec)) == 2
+    assert report.k_max == sorted_components(dec)[0].size == 2
     assert report.threshold_pass
 
 
@@ -75,8 +75,8 @@ def test_topk_flags_match_direct_oracle():
     target = y[bounds[0] : bounds[1]]
     yhat = target + rng.normal(size=64) * 0.4
     score = np.mean(np.abs(target - yhat))
-    comps = sorted_components(dec)
-    for k in range(1, len(comps) + 1):
+    freq, _, _ = sorted_components(dec)
+    for k in range(1, freq.size + 1):
         oracle = score <= np.mean(np.abs(target - partial_sum(dec, k, bounds)))
         assert topk_basis_win(target, yhat, dec, k, bounds) == oracle
 
@@ -183,7 +183,7 @@ def test_row_groups_under_a_small_cell_cap_give_the_same_reports(monkeypatch):
     basis_win_report(targets, forecasts, dec, bounds)
     assert len(built) == 1
     built.clear()
-    n_comp = len(sorted_components(dec))
+    n_comp = sorted_components(dec)[0].size
     monkeypatch.setattr(evaluation, "_SCAN_CELLS", n_comp * 250)
     assert basis_win_report(targets, forecasts, dec, bounds) == whole
     assert len(built) > 2

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from specbench import ForecastTask, TimeSeries, make_windows, split_windows
 from specbench.errors import KTooLarge, RangeTooShort
-from specbench.spectral import component_arrays, dft
+from specbench.spectral import dft, sorted_components
 
 from helpers import take
 
@@ -182,7 +182,7 @@ def test_split_train_targets_end_by_T_and_test_anchors_start_at_T(case):
 @given(split_cases(), st.integers(1, 3))
 def test_ood_test_rows_equal_id_test_rows(case, k):
     ts, task, stride, T = case
-    if k > component_arrays(dft(ts.values))[0].size:
+    if k > sorted_components(dft(ts.values))[0].size:
         with pytest.raises(KTooLarge):
             split_windows(ts, task, T, stride, k=k)
         return

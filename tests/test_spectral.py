@@ -14,11 +14,11 @@ from specbench import (
     top_k_components,
 )
 from specbench.errors import KTooLarge, NonFinite
-from specbench.spectral import SpectralDecomposition, component_arrays, partial_sums
+from specbench.spectral import SpectralDecomposition, partial_sums
 
 from helpers import (
-    REFERENCE_LENGTHS, naive_dft, reference_series, running_sums_reference,
-    sorted_components_reference, take,
+    REFERENCE_LENGTHS, basis_series_reference, naive_dft, reference_series,
+    running_sums_reference, sorted_components_reference, take,
 )
 
 
@@ -101,9 +101,9 @@ def test_top_k_two_sinusoids():
     n = 64
     t = np.arange(n)
     y = 3 * np.sin(2 * np.pi * 5 * t / n) + 1 * np.cos(2 * np.pi * 9 * t / n)
-    comps = top_k_components(dft(y), 2)
-    assert [c.freq_index for c in comps] == [5, 9]
-    assert np.allclose([c.amplitude for c in comps], [3.0, 1.0], atol=1e-9)
+    freq, amp, _ = top_k_components(dft(y), 2)
+    assert freq.tolist() == [5, 9]
+    assert np.allclose(amp, [3.0, 1.0], atol=1e-9)
     oracle = _brute_force_amplitudes(y)
     ranked = sorted(oracle, key=lambda w: (-oracle[w], w))[:2]
     assert ranked == [5, 9]
@@ -111,16 +111,18 @@ def test_top_k_two_sinusoids():
 
 def test_top_k_single_bin_and_k_too_large():
     y = np.sin(2 * np.pi * 4 * np.arange(32) / 32)
-    comps = top_k_components(dft(y), 1)
-    assert comps[0].freq_index == 4
+    freq, amp, phase = top_k_components(dft(y), 1)
+    assert freq.tolist() == [4] and amp.size == phase.size == 1
     with pytest.raises(KTooLarge):
         top_k_components(dft(y), 2)
+    with pytest.raises(ValueError):
+        top_k_components(dft(y), 0)
 
 
 @pytest.mark.parametrize("n", REFERENCE_LENGTHS)
-def test_component_arrays_match_bin_by_bin_reference(n):
+def test_sorted_components_match_bin_by_bin_reference(n):
     dec = dft(reference_series(n, n))
-    freq, amp, phase = component_arrays(dec)
+    freq, amp, phase = sorted_components(dec)
     ref_freq, ref_amp, ref_phase = map(np.asarray, zip(*sorted_components_reference(dec)))
     np.testing.assert_array_equal(freq, ref_freq)
     np.testing.assert_array_equal(amp, ref_amp)
@@ -128,9 +130,11 @@ def test_component_arrays_match_bin_by_bin_reference(n):
     assert dec.coeffs[0].real < 0 and phase[freq == 0] == [np.pi]
     if n % 2 == 0:
         assert n // 2 in freq
-    comps = sorted_components(dec)
-    assert [(c.freq_index, c.amplitude, c.phase) for c in comps] == sorted_components_reference(dec)
-    assert [c.is_pair for c in comps] == [0 < 2 * w < n for w in freq]
+    triples = list(zip(freq.tolist(), amp.tolist(), phase.tolist()))
+    assert triples == sorted_components_reference(dec)
+    for k in (1, 2, freq.size):
+        for top, full in zip(top_k_components(dec, k), (freq, amp, phase)):
+            np.testing.assert_array_equal(top, full[:k])
 
 
 @pytest.mark.parametrize("n", REFERENCE_LENGTHS)
@@ -138,25 +142,28 @@ def test_partial_sums_match_running_sum_reference(n):
     dec = dft(reference_series(n, n + 1))
     bounds = (n // 3, n // 3 + n // 5 + 1)
     reference = running_sums_reference(dec, bounds)
-    np.testing.assert_array_equal(partial_sums(component_arrays(dec), n, bounds), np.stack(reference))
+    components = sorted_components(dec)
+    # the OOD split trains on these rows, so each must be its scalar term
+    np.testing.assert_array_equal(
+        basis_series(components, n, bounds), np.stack(basis_series_reference(dec, bounds))
+    )
+    np.testing.assert_array_equal(partial_sums(components, n, bounds), np.stack(reference))
     for k in (1, 2, len(reference) // 2, len(reference)):
         np.testing.assert_array_equal(partial_sum(dec, k, bounds), reference[k - 1])
 
 
 def test_basis_series_dc_component():
     dec = dft(np.full(16, 4.0))
-    comp = top_k_components(dec, 1)[0]
-    assert comp.freq_index == 0
-    np.testing.assert_allclose(basis_series(comp, 16, (0, 16)), np.full(16, 4.0), atol=1e-12)
+    top = top_k_components(dec, 1)
+    assert top[0].tolist() == [0]
+    np.testing.assert_allclose(basis_series(top, 16, (0, 16)), np.full((1, 16), 4.0), atol=1e-12)
 
 
 def test_basis_series_sum_reconstructs():
     rng = np.random.default_rng(10)
     y = rng.normal(size=32)
     dec = dft(y)
-    total = np.zeros(32)
-    for comp in sorted_components(dec):
-        total += basis_series(comp, 32, (0, 32))
+    total = basis_series(sorted_components(dec), 32, (0, 32)).sum(axis=0)
     assert np.abs(total - y).max() < 1e-9
 
 
@@ -164,15 +171,15 @@ def test_basis_series_single_bin_signal():
     n = 64
     t = np.arange(n)
     y = np.sin(2 * np.pi * 7 * t / n)
-    comp = top_k_components(dft(y), 1)[0]
-    assert np.abs(basis_series(comp, n, (0, n)) - y).max() < 1e-9
+    (row,) = basis_series(top_k_components(dft(y), 1), n, (0, n))
+    assert np.abs(row - y).max() < 1e-9
 
 
 def test_partial_sum_all_components_is_reconstruction():
     rng = np.random.default_rng(11)
     y = rng.normal(size=32)
     dec = dft(y)
-    k = len(sorted_components(dec))
+    k = sorted_components(dec)[0].size
     assert np.abs(partial_sum(dec, k, (0, 32)) - reconstruct_full(dec)).max() < 1e-9
 
 
@@ -189,10 +196,10 @@ def test_partial_sum_k1_is_largest_basis():
     dec = dft(y)
     oracle = _brute_force_amplitudes(y)
     w_star = min(oracle, key=lambda w: (-oracle[w], w))
-    comp = top_k_components(dec, 1)[0]
-    assert comp.freq_index == w_star
+    top = top_k_components(dec, 1)
+    assert top[0].tolist() == [w_star]
     np.testing.assert_allclose(
-        partial_sum(dec, 1, (0, 48)), basis_series(comp, 48, (0, 48)), atol=1e-12
+        partial_sum(dec, 1, (0, 48)), basis_series(top, 48, (0, 48))[0], atol=1e-12
     )
 
 
@@ -218,7 +225,7 @@ def test_partial_sum_mse_non_increasing_in_k():
     rng = np.random.default_rng(15)
     y = rng.normal(size=64)
     dec = dft(y)
-    total = len(sorted_components(dec))
+    total = sorted_components(dec)[0].size
     mses = []
     for k in range(1, total + 1):
         err = y - partial_sum(dec, k, (0, 64))

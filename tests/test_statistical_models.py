@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,15 @@ def test_bad_context_length():
         predict(model, np.arange(7.0))
 
 
+@pytest.mark.parametrize(
+    "family", [Family.NAIVE_LAST, Family.SEASONAL_NAIVE, Family.SES, Family.HOLT, Family.AR_LS]
+)
+def test_no_context_rows_give_no_forecasts(family):
+    cfg = ModelConfig(family=family, horizon=5, context_len=8, ar_order=2)
+    model = fit(cfg, _windows_from_series(np.sin(np.arange(100.0)), 8, 5), None, TC)
+    assert predict(model, np.empty((0, 8))).shape == (0, 5)
+
+
 def test_seasonal_naive_repeats_dominant_period():
     n = 640
     values = np.sin(2 * np.pi * np.arange(n) / 16)  # period 16
@@ -67,6 +77,23 @@ def test_seasonal_naive_repeats_dominant_period():
     np.testing.assert_allclose(forecast, values[64:96], atol=1e-9)
 
 
+def _ses_reference(context, alpha, h):
+    level = context[0]
+    for value in context[1:]:
+        level = alpha * value + (1 - alpha) * level
+    return np.full(h, level)
+
+
+def _holt_reference(context, alpha, beta, h):
+    level, trend = context[1], context[1] - context[0]
+    for value in context[2:]:
+        pred = level + trend
+        new_level = alpha * value + (1 - alpha) * pred
+        trend = beta * (new_level - level) + (1 - beta) * trend
+        level = new_level
+    return level + trend * np.arange(1, h + 1)
+
+
 def test_ses_flat_forecast_and_alpha_range():
     rng = np.random.default_rng(60)
     values = rng.normal(size=400) + 5
@@ -76,6 +103,17 @@ def test_ses_flat_forecast_and_alpha_range():
     assert 0.05 <= alpha <= 0.95
     forecast = predict(model, values[:32])
     assert np.all(forecast == forecast[0])
+    # all rows at once give the scalar recursion's bytes
+    rows = rng.normal(size=(20, 32)).cumsum(axis=1)
+    np.testing.assert_array_equal(
+        predict(model, rows), np.stack([_ses_reference(r, alpha, 6) for r in rows])
+    )
+    # a one-value context has no one-step error to average
+    short = fit(ModelConfig(family=Family.SES, horizon=2, context_len=1),
+                _windows_from_series(values, 1, 2), None, TC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(predict(short, [[3.0], [4.0]]), [[3.0, 3.0], [4.0, 4.0]])
 
 
 def test_holt_extrapolates_linear_trend():
@@ -86,6 +124,18 @@ def test_holt_extrapolates_linear_trend():
     forecast = predict(model, context)
     expected = values[132:140]
     np.testing.assert_allclose(forecast, expected, atol=1e-6)
+    # all rows at once give the scalar recursion's bytes
+    alpha, beta = float(model.extra["alpha"][0]), float(model.extra["beta"][0])
+    rows = np.random.default_rng(62).normal(size=(20, 32)).cumsum(axis=1)
+    np.testing.assert_array_equal(
+        predict(model, rows), np.stack([_holt_reference(r, alpha, beta, 8) for r in rows])
+    )
+    # a two-value context has no one-step error to average
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        short = fit(ModelConfig(family=Family.HOLT, horizon=3, context_len=2),
+                    _windows_from_series(values, 2, 3), None, TC)
+        np.testing.assert_array_equal(predict(short, [1.0, 3.0]), [5.0, 7.0, 9.0])
 
 
 def test_ar_recovers_exact_ar_process():
