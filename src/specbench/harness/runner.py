@@ -312,10 +312,42 @@ def _run_and_write(job) -> RunResult:
 
 
 def _worker_count() -> int:
-    text = os.environ.get("SPECBENCH_WORKERS", "").strip() or "1"
+    """``SPECBENCH_WORKERS`` if set, else the CPUs this process may use."""
+    text = os.environ.get("SPECBENCH_WORKERS", "").strip()
+    if not text:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     if not text.isdecimal() or int(text) < 1:
         raise ConfigError(f"SPECBENCH_WORKERS must be a positive integer, got {text!r}")
     return int(text)
+
+
+# thread setters of the OpenBLAS builds numpy (64-bit ints) and scipy load
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
+def _pin_blas_threads() -> None:
+    """Set every OpenBLAS loaded in this process to one thread; a no-op
+    where none is found. A pool worker calls it as it starts: the worker
+    is forked after OpenBLAS started its threads, so ``OPENBLAS_NUM_THREADS``
+    would come too late, and workers sharing the CPUs with BLAS threads of
+    their own oversubscribe them."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in _OPENBLAS_SETTERS:
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def run_matrix(
@@ -325,11 +357,14 @@ def run_matrix(
 ) -> list[RunResult]:
     """Execute every (dataset, model, seed, mode) cell, reusing cached runs.
 
-    ``SPECBENCH_WORKERS`` > 1 sends the pending runs to that many worker
-    processes; unset, empty or 1 runs them serially, and any other value
-    raises ConfigError. ``progress`` gets ``cached`` per reused run, and
-    ``run`` and ``done`` per executed one: interleaved when serial, every
-    ``run`` first with workers.
+    Pending runs go to one worker process per CPU this process may use,
+    or to ``SPECBENCH_WORKERS`` of them, but never more workers than
+    pending runs; each worker's BLAS is pinned to one thread. With one
+    worker or at most one pending run, the runs execute serially in this
+    process, whose BLAS threads stay as they are. A ``SPECBENCH_WORKERS``
+    that is not a positive integer raises ConfigError. ``progress`` gets
+    ``cached`` per reused run, and ``run`` and ``done`` per executed one:
+    interleaved when serial, every ``run`` first with workers.
     """
     workers = _worker_count()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -363,7 +398,9 @@ def run_matrix(
 
     # a pool takes every job before the first run finishes; ``map`` takes
     # each job when the loop asks for its result
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and pending else None
+    workers = min(workers, len(pending))
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads)
+            if workers > 1 else None)
     with pool or nullcontext():
         for result in (pool.map if pool else map)(_run_and_write, jobs()):
             results[result.run_id] = result

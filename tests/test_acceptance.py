@@ -387,9 +387,12 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                     env.get("PYTHONPATH", "")) if p
     )
 
-    def pipeline(tag: str) -> tuple[bytes, dict[str, dict]]:
+    def pipeline(tag: str, workers: str | None) -> tuple[bytes, dict[str, dict]]:
         # identical relative-path configs, executed from each pipeline's
         # own root, so run ids and file names must agree byte for byte
+        run_env = {k: v for k, v in env.items() if k != "SPECBENCH_WORKERS"}
+        if workers is not None:
+            run_env["SPECBENCH_WORKERS"] = workers
         root = tmp_path / tag
         root.mkdir()
         (root / "exp.cfg").write_text(_DETERMINISM_CFG)
@@ -401,7 +404,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "specbench.harness.cli", *args],
-                capture_output=True, text=True, cwd=root, env=env,
+                capture_output=True, text=True, cwd=root, env=run_env,
             )
             assert proc.returncode == 0, proc.stderr
         run_payloads = {}
@@ -410,8 +413,9 @@ def test_criterion_10_pipeline_determinism(tmp_path):
             run_payloads[path.name] = doc["result"]
         return (root / "report.json").read_bytes(), run_payloads
 
-    report_a, runs_a = pipeline("first")
-    report_b, runs_b = pipeline("second")
+    # the serial runner, then the default: a pool of one worker per CPU
+    report_a, runs_a = pipeline("first", "1")
+    report_b, runs_b = pipeline("second", None)
     assert report_a == report_b, "aggregated report bytes differ between runs"
     assert runs_a == runs_b, "per-run result payloads differ between runs"
     assert within(), "criterion 10 exceeded its 20 min budget"

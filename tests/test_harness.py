@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -375,6 +376,7 @@ def test_cd_diagram_svg_renders_groups():
 def test_worker_pool_matches_serial(tmp_path, monkeypatch):
     cfg = load_config(_write_cfg(tmp_path))
     serial_events, pooled_events = [], []
+    monkeypatch.setenv("SPECBENCH_WORKERS", "1")
     serial = run_matrix(cfg, out_dir=tmp_path / "serial",
                         progress=lambda **kw: serial_events.append(kw))
     monkeypatch.setenv("SPECBENCH_WORKERS", "2")
@@ -546,9 +548,78 @@ def test_bad_worker_count_is_a_config_error(tmp_path, monkeypatch, capsys, value
     assert "error: SPECBENCH_WORKERS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [None, "", " ", "1"])
-def test_unset_or_one_worker_is_serial(monkeypatch, value):
+@pytest.mark.parametrize("value", [None, "", " "])
+def test_default_worker_count_is_the_usable_cpus(monkeypatch, value):
     monkeypatch.delenv("SPECBENCH_WORKERS", raising=False)
     if value is not None:
         monkeypatch.setenv("SPECBENCH_WORKERS", value)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert runner._worker_count() == 3
+
+
+def test_one_worker_is_serial(monkeypatch):
+    monkeypatch.setenv("SPECBENCH_WORKERS", "1")
     assert runner._worker_count() == 1
+
+
+def test_at_most_one_pending_run_starts_no_pool(tmp_path, monkeypatch):
+    cfg = load_config(_write_cfg(tmp_path))
+    cfg = dataclasses.replace(cfg, models=cfg.models[:1], seeds=(1,))
+    out = tmp_path / "res"
+
+    def payloads():
+        return {p.name: json.loads(p.read_text())["result"] for p in out.glob("*.json")}
+
+    monkeypatch.setenv("SPECBENCH_WORKERS", "1")
+    first = run_matrix(cfg, out_dir=out)
+    assert len(first) == 2
+    kept = payloads()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setenv("SPECBENCH_WORKERS", "2")
+    assert run_matrix(cfg, out_dir=out) == first  # nothing pending
+    (out / f"{first[0].run_id}.json").unlink()
+    run_matrix(cfg, out_dir=out)  # one pending
+    assert payloads() == kept
+
+
+# thread getters of the OpenBLAS builds numpy (64-bit ints) and scipy load
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+
+
+def _openblas_threads() -> dict[str, int]:
+    """The thread count of each OpenBLAS loaded in this process, by path."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    counts = {}
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in _OPENBLAS_GETTERS:
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[lib] = getter()
+                break
+    return counts
+
+
+def test_pool_workers_pin_blas_to_one_thread(tmp_path, monkeypatch):
+    try:
+        before = _openblas_threads()
+    except OSError:
+        pytest.skip("this platform has no /proc/self/maps to find OpenBLAS by")
+    if not before:
+        pytest.skip("no OpenBLAS with a known thread getter is loaded")
+    with ProcessPoolExecutor(max_workers=1, initializer=runner._pin_blas_threads) as pool:
+        in_worker = pool.submit(_openblas_threads).result(timeout=60)
+    assert in_worker == {lib: 1 for lib in before}
+    # the pool's workers are pinned, never the process that starts them
+    monkeypatch.setenv("SPECBENCH_WORKERS", "2")
+    cfg = load_config(_write_cfg(tmp_path))
+    run_matrix(dataclasses.replace(cfg, models=cfg.models[:1], seeds=(1,)), out_dir=tmp_path / "res")
+    assert _openblas_threads() == before
