@@ -191,7 +191,7 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor]) -> list[np.ndar
                 grads[key] = held + g_in
                 owned.add(key)
         g_in = None  # else the last returned gradient outlives the next rule
-    return [grads.get(p.node, np.zeros_like(p.data)) for p in params]
+    return [grads[p.node] if p.node in grads else np.zeros_like(p.data) for p in params]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -7,6 +7,7 @@ grouping), and linear CKA for representation similarity.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ __all__ = [
     "mae",
     "topk_basis_win",
     "topk_max",
+    "basis_errors",
     "basis_win_report",
     "friedman",
     "wilcoxon_signed_rank",
@@ -34,9 +36,14 @@ __all__ = [
 
 BASIS_WIN_THRESHOLD = 2  # smallest k_max that counts as evidence of composition
 
-# Largest components x time-steps partial-sum matrix one basis_win_report
+# Largest components x time-steps partial-sum matrix one basis_errors
 # group builds (4M float64 cells, 32 MB); wider row sets are split.
 _SCAN_CELLS = 4 * 1024 * 1024
+
+# basis_errors results kept per process, oldest first, and the most float64
+# cells they may hold together (32 MB)
+_ERRORS_MEMO: dict[bytes, np.ndarray] = {}
+_MEMO_CELLS = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -96,41 +103,39 @@ def mae(y: np.ndarray, yhat: np.ndarray) -> float:
     return float(np.mean(np.abs(y - yhat)))
 
 
-def basis_win_report(
-    y: np.ndarray,
-    yhat: np.ndarray,
-    dec: SpectralDecomposition,
-    bounds,
-) -> BasisWinReport | list[BasisWinReport]:
-    """Basis win at every k: the forecast's MAE against the MAE of the
-    cumulative top-k reconstruction on the same index range.
+def basis_errors(y: np.ndarray, dec: SpectralDecomposition, bounds) -> np.ndarray:
+    """``(n, K)`` matrix of each row's MAE against every cumulative top-k
+    reconstruction: entry ``[r, k - 1]`` scores the sum of the ``k``
+    largest components of ``dec`` over row ``r``'s index range against
+    ``y[r]``. It is the half of basis-win scoring no forecast affects.
 
-    ``y``/``yhat`` are one window ``(h,)`` with ``bounds = (lo, hi)``, which
-    returns one report, or rows ``(n, h)`` with ``bounds`` an ``(n, 2)``
-    array of per-row ``(lo, hi)``, which returns one report per row. Rows
-    share one partial-sum matrix over the union of their index ranges, cut
-    into groups of at most ``_SCAN_CELLS`` cells (a group always holds at
-    least one row).
+    ``y`` is ``(n, h)`` and ``bounds`` an ``(n, 2)`` array of per-row
+    ``(lo, hi)``. Rows share one partial-sum matrix over the union of
+    their index ranges, cut into groups of at most ``_SCAN_CELLS`` cells
+    (a group always holds at least one row). Results are memoised in this
+    process by the bytes of ``y``, ``bounds``, ``dec.coeffs`` and ``dec.n``,
+    up to ``_MEMO_CELLS`` cells; a returned matrix is read-only.
     """
     y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
     bounds = np.asarray(bounds, dtype=np.int64)
-    single = y.ndim == 1
-    if single:
-        y, yhat, bounds = y[None], yhat[None], bounds[None]
     if (
-        y.ndim != 2 or y.shape != yhat.shape or y.shape[1] < 1
+        y.ndim != 2 or y.shape[1] < 1
         or bounds.shape != (len(y), 2) or np.any(bounds[:, 1] - bounds[:, 0] != y.shape[1])
     ):
-        raise ShapeMismatch(
-            f"shapes {y.shape} vs {yhat.shape} with bounds {bounds.shape} must agree"
-        )
-    scores = np.mean(np.abs(y - yhat), axis=1)
+        raise ShapeMismatch(f"rows {y.shape} with bounds {bounds.shape} must agree")
+    digest = hashlib.sha256()
+    for part in (y, bounds, dec.coeffs, np.asarray([dec.n, *y.shape])):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    key = digest.digest()
+    errors = _ERRORS_MEMO.get(key)
+    if errors is not None:
+        return errors
+
     components = sorted_components(dec)
     n_comp = components[0].size
     lo, hi = bounds[:, 0], bounds[:, 1]
     order = np.argsort(lo, kind="stable")
-    reports: list[BasisWinReport | None] = [None] * len(y)
+    errors = np.empty((len(y), n_comp))
     start = 0
     while start < len(order):
         group_lo, group_hi = lo[order[start]], hi[order[start]]
@@ -143,13 +148,48 @@ def basis_win_report(
         sums = partial_sums(components, dec.n, (group_lo, group_hi))
         for row in order[start:stop]:
             window = sums[:, lo[row] - group_lo : hi[row] - group_lo]
-            wins = scores[row] <= np.mean(np.abs(y[row] - window), axis=1)
-            hits = np.flatnonzero(wins)
-            k_max = int(hits[-1]) + 1 if hits.size else 0
-            reports[row] = BasisWinReport(
-                k_max=k_max, wins=wins.tolist(), threshold_pass=k_max >= BASIS_WIN_THRESHOLD
-            )
+            errors[row] = np.mean(np.abs(y[row] - window), axis=1)
         start = stop
+
+    errors.flags.writeable = False
+    if errors.size <= _MEMO_CELLS:
+        while sum(e.size for e in _ERRORS_MEMO.values()) + errors.size > _MEMO_CELLS:
+            del _ERRORS_MEMO[next(iter(_ERRORS_MEMO))]  # the oldest entry
+        _ERRORS_MEMO[key] = errors
+    return errors
+
+
+def basis_win_report(
+    y: np.ndarray,
+    yhat: np.ndarray,
+    dec: SpectralDecomposition,
+    bounds,
+) -> BasisWinReport | list[BasisWinReport]:
+    """Basis win at every k: the forecast's MAE against the MAE of the
+    cumulative top-k reconstruction on the same index range.
+
+    ``y``/``yhat`` are one window ``(h,)`` with ``bounds = (lo, hi)``, which
+    returns one report, or rows ``(n, h)`` with ``bounds`` an ``(n, 2)``
+    array of per-row ``(lo, hi)``, which returns one report per row. The
+    reconstructions' errors come from :func:`basis_errors`, so forecasts
+    scored against the same targets, ranges and decomposition share them.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    yhat = np.asarray(yhat, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    single = y.ndim == 1
+    if single:
+        y, yhat, bounds = y[None], yhat[None], bounds[None]
+    if y.shape != yhat.shape:
+        raise ShapeMismatch(f"shapes {y.shape} vs {yhat.shape} must agree")
+    wins = np.mean(np.abs(y - yhat), axis=1)[:, None] <= basis_errors(y, dec, bounds)
+    reports = []
+    for row in wins:
+        hits = np.flatnonzero(row)
+        k_max = int(hits[-1]) + 1 if hits.size else 0
+        reports.append(BasisWinReport(
+            k_max=k_max, wins=row.tolist(), threshold_pass=k_max >= BASIS_WIN_THRESHOLD
+        ))
     return reports[0] if single else reports
 
 

@@ -15,15 +15,13 @@ import json
 import os
 import time
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from ..errors import ConfigError, SpecbenchError
+from ..errors import SpecbenchError
 from ..evaluation import (
     BASIS_WIN_THRESHOLD,
     _midranks,
@@ -34,6 +32,7 @@ from ..evaluation import (
 )
 from ..models import count_params, estimate_flops, fit, predict
 from ..models.config import encode_field
+from ..parallel import ordered_map
 from ..preprocess import load_csv
 from ..series import ForecastTask, TimeSeries, Windows, make_windows
 from ..spectral import SpectralDecomposition, basis_series, dft, top_k_components
@@ -76,7 +75,8 @@ class RunResult:
     wall_time_s: float = 0.0
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        # the fields as they are: ``asdict`` would deep-copy every list
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         timing = {"wall_time_s": payload.pop("wall_time_s")}
         return json.dumps(
             {"result": payload, "timing": timing}, sort_keys=True, indent=2
@@ -311,45 +311,6 @@ def _run_and_write(job) -> RunResult:
     return result
 
 
-def _worker_count() -> int:
-    """``SPECBENCH_WORKERS`` if set, else the CPUs this process may use."""
-    text = os.environ.get("SPECBENCH_WORKERS", "").strip()
-    if not text:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not text.isdecimal() or int(text) < 1:
-        raise ConfigError(f"SPECBENCH_WORKERS must be a positive integer, got {text!r}")
-    return int(text)
-
-
-# thread setters of the OpenBLAS builds numpy (64-bit ints) and scipy load
-_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
-
-
-def _pin_blas_threads() -> None:
-    """Set every OpenBLAS loaded in this process to one thread; a no-op
-    where none is found. A pool worker calls it as it starts: the worker
-    is forked after OpenBLAS started its threads, so ``OPENBLAS_NUM_THREADS``
-    would come too late, and workers sharing the CPUs with BLAS threads of
-    their own oversubscribe them."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        for symbol in _OPENBLAS_SETTERS:
-            setter = getattr(handle, symbol, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
-
 def run_matrix(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -357,16 +318,16 @@ def run_matrix(
 ) -> list[RunResult]:
     """Execute every (dataset, model, seed, mode) cell, reusing cached runs.
 
-    Pending runs go to one worker process per CPU this process may use,
-    or to ``SPECBENCH_WORKERS`` of them, but never more workers than
-    pending runs; each worker's BLAS is pinned to one thread. With one
-    worker or at most one pending run, the runs execute serially in this
-    process, whose BLAS threads stay as they are. A ``SPECBENCH_WORKERS``
-    that is not a positive integer raises ConfigError. ``progress`` gets
-    ``cached`` per reused run, and ``run`` and ``done`` per executed one:
-    interleaved when serial, every ``run`` first with workers.
+    Pending runs go to :func:`specbench.parallel.ordered_map`: one worker
+    process per CPU this process may use, or ``SPECBENCH_WORKERS`` of
+    them, never more than pending runs, each with its BLAS pinned to one
+    thread. With one worker or at most one pending run, the runs execute
+    serially in this process, whose BLAS threads stay as they are. A
+    ``SPECBENCH_WORKERS`` that is not a positive integer raises
+    ConfigError. ``progress`` gets ``cached`` per reused run, and ``run``
+    and ``done`` per executed one: interleaved when serial, every ``run``
+    first with workers.
     """
-    workers = _worker_count()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = [
@@ -396,16 +357,10 @@ def run_matrix(
                 progress(event="run", dataset=spec.name, model=model.name, seed=seed, mode=mode)
             yield out, cfg, spec, model, seed, mode
 
-    # a pool takes every job before the first run finishes; ``map`` takes
-    # each job when the loop asks for its result
-    workers = min(workers, len(pending))
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads)
-            if workers > 1 else None)
-    with pool or nullcontext():
-        for result in (pool.map if pool else map)(_run_and_write, jobs()):
-            results[result.run_id] = result
-            if progress:
-                progress(event="done", run_id=result.run_id, mae=result.mae, error=result.error)
+    for result in ordered_map(_run_and_write, jobs(), count=len(pending)):
+        results[result.run_id] = result
+        if progress:
+            progress(event="done", run_id=result.run_id, mae=result.mae, error=result.error)
 
     return [results[rid] for rid in ids]
 

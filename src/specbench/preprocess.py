@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     TooShort,
     ZeroVariance,
 )
+from .parallel import ordered_map
 from .series import TimeSeries
 
 __all__ = [
@@ -272,6 +274,20 @@ def mean_acf(values: np.ndarray, nlags: int = ACF_LAGS) -> float:
     return float(np.mean(acf))
 
 
+def _screen(values: np.ndarray, alpha: float, nlags: int) -> float | None:
+    """Mean autocorrelation of a segment that passes the stationarity
+    screen; None if it fails or is degenerate."""
+    try:
+        report = adf_test(values, alpha=alpha)
+    except DegenerateInput:
+        return None
+    return mean_acf(values, nlags=nlags) if report.stationary else None
+
+
+# segments sent to a screening worker at a time
+_SCREEN_CHUNK = 16
+
+
 def select_series(
     segments: list[Segment],
     keep: int = 100,
@@ -280,15 +296,17 @@ def select_series(
 ) -> list[Segment]:
     """Drop segments that fail the stationarity screen, rank survivors by
     mean autocorrelation, and keep the top ``keep`` (stable tie-break by
-    parent id and offset)."""
-    survivors = []
-    for seg in segments:
-        try:
-            report = adf_test(seg.values, alpha=alpha)
-        except DegenerateInput:
-            continue
-        if report.stationary:
-            survivors.append((mean_acf(seg.values, nlags=nlags), seg))
+    parent id and offset).
+
+    Segments are screened on :func:`specbench.parallel.ordered_map`'s
+    workers (``SPECBENCH_WORKERS``, or one per usable CPU), a chunk of
+    segments at a time; the screen's arithmetic does not depend on the BLAS
+    thread count, so every worker count keeps the same segments in the
+    same order.
+    """
+    screen = partial(_screen, alpha=alpha, nlags=nlags)
+    acfs = ordered_map(screen, [seg.values for seg in segments], chunksize=_SCREEN_CHUNK)
+    survivors = [(acf, seg) for acf, seg in zip(acfs, segments) if acf is not None]
     if len(survivors) < keep:
         raise NotEnoughStationary(
             f"only {len(survivors)} stationary segments, need {keep}"

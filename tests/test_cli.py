@@ -146,6 +146,48 @@ def test_prep_selects_segments(tmp_path):
     assert all(len(s) == 64 for s in selected)
 
 
+def _raw_parents(path, parents=6, length=64 + 32 * 7):
+    """Long-format parents for ``prep``: AR(1) plus a seasonal term, every
+    third a random walk, so the screen keeps some segments and drops others."""
+    rng = np.random.default_rng(11)
+    rows = ["unique_id,ds,y"]
+    for p in range(parents):
+        noise = rng.normal(size=length)
+        if p % 3 == 2:
+            values = np.cumsum(noise)
+        else:
+            values = np.sin(2 * np.pi * np.arange(length) / (8 + p)) + 0.5 * noise
+        rows += [f"p{p},{i},{v!r}" for i, v in enumerate(values.tolist())]
+    path.write_text("\n".join(rows) + "\n")
+
+
+PREP_ARGS = ["--keep", "10", "--patch-len", "64", "--stride", "32", "--nlags", "8"]
+
+
+def test_prep_selects_the_same_bytes_with_one_and_two_workers(tmp_path, monkeypatch):
+    raw = tmp_path / "raw.csv"
+    _raw_parents(raw)
+    written = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SPECBENCH_WORKERS", workers)
+        out = tmp_path / f"prep{workers}"
+        assert main(["prep", "--input", str(raw), "--out", str(out), *PREP_ARGS]) == 0
+        written.append((out / "selected.csv").read_bytes())
+    assert written[0] == written[1]
+    assert len(load_csv(tmp_path / "prep1" / "selected.csv")) == 10
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_prep_with_a_bad_worker_count_exits_1(tmp_path, monkeypatch, capsys, value):
+    raw = tmp_path / "raw.csv"
+    _raw_parents(raw)
+    monkeypatch.setenv("SPECBENCH_WORKERS", value)
+    out = tmp_path / "prep"
+    assert main(["prep", "--input", str(raw), "--out", str(out), *PREP_ARGS]) == 1
+    assert "error: SPECBENCH_WORKERS" in capsys.readouterr().err
+    assert not (out / "selected.csv").exists()
+
+
 def test_cka_outputs_symmetric_unit_diagonal(tmp_path, capsys):
     out = tmp_path / "cka.json"
     assert main(["cka", "--kind", "trend1", "--seed", "1", "--series", "2",

@@ -169,9 +169,8 @@ def test_row_call_equals_one_call_per_row(case):
     ]
 
 
-def test_row_groups_under_a_small_cell_cap_give_the_same_reports(monkeypatch):
-    dec, targets, forecasts, bounds = _scored_rows(1200, 192, rows=15, seed=3)
-    whole = basis_win_report(targets, forecasts, dec, bounds)
+def _counting_partial_sums(monkeypatch):
+    """Spans of the partial-sum matrices built from here on."""
     built = []
     real_partial_sums = evaluation.partial_sums
 
@@ -180,14 +179,75 @@ def test_row_groups_under_a_small_cell_cap_give_the_same_reports(monkeypatch):
         return real_partial_sums(components, n, span)
 
     monkeypatch.setattr(evaluation, "partial_sums", counting)
+    return built
+
+
+def test_row_groups_under_a_small_cell_cap_give_the_same_reports(monkeypatch):
+    dec, targets, forecasts, bounds = _scored_rows(1200, 192, rows=15, seed=3)
+    whole = basis_win_report(targets, forecasts, dec, bounds)
+    built = _counting_partial_sums(monkeypatch)
+    # a memoised call builds nothing, so each counted call starts cold
+    evaluation._ERRORS_MEMO.clear()
     basis_win_report(targets, forecasts, dec, bounds)
     assert len(built) == 1
     built.clear()
     n_comp = sorted_components(dec)[0].size
     monkeypatch.setattr(evaluation, "_SCAN_CELLS", n_comp * 250)
+    evaluation._ERRORS_MEMO.clear()
     assert basis_win_report(targets, forecasts, dec, bounds) == whole
     assert len(built) > 2
     assert all(hi - lo <= 250 for lo, hi in built)
+
+
+def test_basis_win_reports_are_equal_with_a_cold_and_a_warm_memo(monkeypatch):
+    monkeypatch.setattr(evaluation, "_ERRORS_MEMO", {})
+    dec, targets, forecasts, bounds = _scored_rows(600, 96, rows=12, seed=5)
+    built = _counting_partial_sums(monkeypatch)
+    cold = basis_win_report(targets, forecasts, dec, bounds)
+    assert len(built) == 1
+    # a second forecast of the same targets reuses their errors
+    other = forecasts[::-1]
+    assert basis_win_report(targets, forecasts, dec, bounds) == cold
+    warm_other = basis_win_report(targets, other, dec, bounds)
+    assert len(built) == 1
+    evaluation._ERRORS_MEMO.clear()
+    assert basis_win_report(targets, other, dec, bounds) == warm_other
+    assert len(built) == 2
+    errors = evaluation.basis_errors(targets, dec, bounds)
+    assert errors.shape == (12, sorted_components(dec)[0].size)
+    assert not errors.flags.writeable
+
+
+def test_a_one_ulp_change_to_one_target_misses_the_memo(monkeypatch):
+    monkeypatch.setattr(evaluation, "_ERRORS_MEMO", {})
+    dec, targets, forecasts, bounds = _scored_rows(600, 96, rows=12, seed=6)
+    before = evaluation.basis_errors(targets, dec, bounds)
+    built = _counting_partial_sums(monkeypatch)
+    moved = targets.copy()
+    moved[4, 7] = np.nextafter(moved[4, 7], np.inf)
+    after = evaluation.basis_errors(moved, dec, bounds)
+    assert len(built) == 1
+    assert len(evaluation._ERRORS_MEMO) == 2
+    np.testing.assert_array_equal(np.delete(after, 4, axis=0), np.delete(before, 4, axis=0))
+
+
+def test_the_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(evaluation, "_ERRORS_MEMO", {})
+    dec, targets, _, bounds = _scored_rows(300, 24, rows=4, seed=7)
+    size = 4 * sorted_components(dec)[0].size
+    monkeypatch.setattr(evaluation, "_MEMO_CELLS", 3 * size + 1)
+    for i in range(8):
+        evaluation.basis_errors(targets + i, dec, bounds)
+        held = sum(e.size for e in evaluation._ERRORS_MEMO.values())
+        assert held <= evaluation._MEMO_CELLS
+        assert len(evaluation._ERRORS_MEMO) == min(i + 1, 3)
+    # the newest entries stay; a matrix larger than the bound is not kept
+    built = _counting_partial_sums(monkeypatch)
+    evaluation.basis_errors(targets + 7, dec, bounds)
+    assert built == []
+    monkeypatch.setattr(evaluation, "_MEMO_CELLS", size - 1)
+    evaluation.basis_errors(targets + 8, dec, bounds)
+    assert len(evaluation._ERRORS_MEMO) == 3
 
 
 def test_basis_win_report_rejects_mismatched_rows():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -17,6 +18,7 @@ from specbench.harness import (
     run_matrix,
 )
 from specbench.evaluation import ScoreMatrix, cd_analysis
+from specbench import parallel
 from specbench.harness import cli, runner
 from specbench.models import Family, ModelConfig, ModelSize, Tokenization, TrainConfig
 from specbench.preprocess import write_csv
@@ -195,6 +197,65 @@ def test_run_result_roundtrip(tmp_path):
     )
     back = RunResult.from_json(result.to_json())
     assert back == result
+
+
+RUN_FILE_TEXT = """\
+{
+  "result": {
+    "dataset": "sins",
+    "error": null,
+    "example": {
+      "anchor": 7,
+      "context": [
+        0.5,
+        -1.0
+      ],
+      "forecast": [
+        1.75
+      ],
+      "series": "s0",
+      "target": [
+        2.0
+      ]
+    },
+    "flop_estimate": 1000,
+    "k_max": 1.5,
+    "mae": 0.25,
+    "mode": "OOD",
+    "model": "nlin",
+    "n_series": 2,
+    "param_count": 42,
+    "per_series_k_max": [
+      1.0,
+      2.0
+    ],
+    "per_series_mae": [
+      0.125,
+      0.375
+    ],
+    "run_id": "0123456789abcdef",
+    "seed": 3,
+    "threshold_pass": false
+  },
+  "timing": {
+    "wall_time_s": 0.5
+  }
+}
+"""
+
+
+def test_run_file_bytes_are_pinned():
+    result = RunResult(
+        run_id="0123456789abcdef", dataset="sins", model="nlin", seed=3, mode="OOD",
+        mae=0.25, k_max=1.5, threshold_pass=False, n_series=2,
+        per_series_mae=[0.125, 0.375], per_series_k_max=[1.0, 2.0],
+        param_count=42, flop_estimate=1000,
+        example={"series": "s0", "anchor": 7, "context": [0.5, -1.0], "target": [2.0],
+                 "forecast": [1.75]},
+        wall_time_s=0.5,
+    )
+    assert result.to_json() == RUN_FILE_TEXT
+    assert RunResult.from_json(RUN_FILE_TEXT) == result
 
 
 def test_failed_runs_are_recorded_not_raised(tmp_path):
@@ -553,13 +614,13 @@ def test_default_worker_count_is_the_usable_cpus(monkeypatch, value):
     monkeypatch.delenv("SPECBENCH_WORKERS", raising=False)
     if value is not None:
         monkeypatch.setenv("SPECBENCH_WORKERS", value)
-    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert runner._worker_count() == 3
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert parallel.worker_count() == 3
 
 
 def test_one_worker_is_serial(monkeypatch):
     monkeypatch.setenv("SPECBENCH_WORKERS", "1")
-    assert runner._worker_count() == 1
+    assert parallel.worker_count() == 1
 
 
 def test_at_most_one_pending_run_starts_no_pool(tmp_path, monkeypatch):
@@ -578,7 +639,7 @@ def test_at_most_one_pending_run_starts_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("SPECBENCH_WORKERS", "2")
     assert run_matrix(cfg, out_dir=out) == first  # nothing pending
     (out / f"{first[0].run_id}.json").unlink()
@@ -615,7 +676,7 @@ def test_pool_workers_pin_blas_to_one_thread(tmp_path, monkeypatch):
         pytest.skip("this platform has no /proc/self/maps to find OpenBLAS by")
     if not before:
         pytest.skip("no OpenBLAS with a known thread getter is loaded")
-    with ProcessPoolExecutor(max_workers=1, initializer=runner._pin_blas_threads) as pool:
+    with ProcessPoolExecutor(max_workers=1, initializer=parallel.pin_blas_threads) as pool:
         in_worker = pool.submit(_openblas_threads).result(timeout=60)
     assert in_worker == {lib: 1 for lib in before}
     # the pool's workers are pinned, never the process that starts them
@@ -623,3 +684,12 @@ def test_pool_workers_pin_blas_to_one_thread(tmp_path, monkeypatch):
     cfg = load_config(_write_cfg(tmp_path))
     run_matrix(dataclasses.replace(cfg, models=cfg.models[:1], seeds=(1,)), out_dir=tmp_path / "res")
     assert _openblas_threads() == before
+
+
+def test_pool_workers_are_forked_where_the_platform_can_fork():
+    # a forked worker starts with numpy and scipy imported; Python 3.14
+    # makes forkserver the Linux default, which imports them again
+    if "fork" not in multiprocessing.get_all_start_methods():
+        assert parallel._CONTEXT is None
+    else:
+        assert parallel._CONTEXT.get_start_method() == "fork"

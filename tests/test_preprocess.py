@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import specbench
 
 from specbench import (
     Segment,
@@ -278,3 +284,48 @@ def test_select_series_not_enough_stationary():
     segs = [_walk_segment(i) for i in range(5)]
     with pytest.raises(NotEnoughStationary):
         select_series(segs, keep=3, nlags=8)
+
+
+def test_select_series_is_the_same_with_one_and_two_workers(monkeypatch):
+    rng = np.random.default_rng(31)
+    segs = [_sinusoid_segment(i) for i in range(3)] + [_walk_segment(i) for i in range(3)]
+    segs += [Segment("noise", i, rng.normal(size=1056)) for i in range(4)]
+    kept = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SPECBENCH_WORKERS", workers)
+        kept.append(select_series(segs, keep=6, nlags=8))
+    assert [s.id for s in kept[0]] == [s.id for s in kept[1]]
+    assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(*kept))
+    assert {s.parent_id for s in kept[0]} == {"sine", "noise"}
+
+
+_SCREEN_THREADS_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from helpers import adf_oracle_series
+from specbench.preprocess import adf_test, mean_acf
+for name, values in sorted(adf_oracle_series().items()):
+    report = adf_test(values)
+    print(name, float(report.statistic).hex(), report.lag_used, float(mean_acf(values)).hex())
+"""
+
+
+def test_screen_bytes_do_not_depend_on_blas_threads():
+    # a pool worker screens with one BLAS thread, a serial prep with the
+    # process's own; both must keep the same segments
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(specbench.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH", "")) if p
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCREEN_THREADS_CHILD, str(Path(__file__).resolve().parent)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 9
+    assert outputs[0] == outputs[1]
