@@ -16,6 +16,14 @@ runs, which frees the arrays it held, so a tape is swept once and left
 empty. A tape and its tensors belong to one worker; nothing here is
 shared mutable state apart from the thread-local active-tape stack and
 the process-wide node counter.
+
+``add``, ``mul`` and ``matmul`` also take a constant operand: a numpy
+array or a float in place of a Tensor (one of the two must be a Tensor).
+A constant is not a tape input and gets no gradient; the record lists only
+the tensor operand, and its rule keeps nothing of that operand which only
+the constant's gradient would read (for ``mul``, the constant alone). Masks,
+positional tables, fixed pooling matrices and a network's raw input go in
+this way, so no backward work is spent on them.
 """
 from __future__ import annotations
 
@@ -73,12 +81,13 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # Operator sugar; scalars and arrays are lifted to constant tensors.
+    # Operator sugar. ``add``, ``mul`` and ``matmul`` take scalars and
+    # arrays as constants; ``sub`` and ``div`` lift them to tensors.
     def __add__(self, other):
-        return add(self, _lift(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_lift(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, _lift(other))
@@ -87,10 +96,10 @@ class Tensor:
         return sub(_lift(other), self)
 
     def __mul__(self, other):
-        return mul(self, _lift(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_lift(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
         return div(self, _lift(other))
@@ -102,7 +111,7 @@ class Tensor:
         return neg(self)
 
     def __matmul__(self, other):
-        return matmul(self, _lift(other))
+        return matmul(self, other)
 
 
 def _lift(value) -> Tensor:
@@ -206,22 +215,49 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _binary(a: Tensor, b: Tensor, forward, rule) -> Tensor:
+def _operands(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of two operands, at least one a Tensor; a constant (an
+    array or a float) is taken as a contiguous float64 array."""
+    if isinstance(a, Tensor):
+        return a.data, b.data if isinstance(b, Tensor) else _constant(b)
+    if isinstance(b, Tensor):
+        return _constant(a), b.data
+    raise TypeError("at least one operand must be a Tensor")
+
+
+def _constant(value) -> np.ndarray:
+    arr = np.asarray(value, dtype=np.float64)
+    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+
+
+def _elementwise(forward, x: np.ndarray, y: np.ndarray) -> Tensor:
     try:
-        out = Tensor(forward(a.data, b.data))
+        return Tensor(forward(x, y))
     except ValueError as exc:
-        raise ShapeMismatch(f"operands {a.shape} and {b.shape}: {exc}") from None
-    return _emit(out, (a, b), rule)
+        raise ShapeMismatch(f"operands {x.shape} and {y.shape}: {exc}") from None
+
+
+def _binary(a: Tensor, b: Tensor, forward, rule) -> Tensor:
+    return _emit(_elementwise(forward, a.data, b.data), (a, b), rule)
 
 
 # -- arithmetic ----------------------------------------------------------------
 
 # Rules close over arrays and shapes, never over a Tensor, so each keeps
-# alive only what its backward reads.
+# alive only what its backward reads. Where one operand of add, mul or
+# matmul is a constant, the rule returns the tensor operand's gradient
+# alone and keeps nothing of that operand that only the constant's
+# gradient would read.
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.shape, b.shape
-    return _binary(a, b, np.add, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+def add(a, b) -> Tensor:
+    x, y = _operands(a, b)
+    out = _elementwise(np.add, x, y)
+    sa, sb = x.shape, y.shape
+    if not isinstance(b, Tensor):
+        return _emit(out, (a,), lambda g: (_unbroadcast(g, sa),))
+    if not isinstance(a, Tensor):
+        return _emit(out, (b,), lambda g: (_unbroadcast(g, sb),))
+    return _emit(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -229,11 +265,17 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, np.subtract, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    x, y = a.data, b.data
-    return _binary(
-        a, b, np.multiply,
-        lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)),
+def mul(a, b) -> Tensor:
+    x, y = _operands(a, b)
+    out = _elementwise(np.multiply, x, y)
+    if not isinstance(b, Tensor):
+        sa = x.shape
+        return _emit(out, (a,), lambda g: (_unbroadcast(g * y, sa),))
+    if not isinstance(a, Tensor):
+        sb = y.shape
+        return _emit(out, (b,), lambda g: (_unbroadcast(g * x, sb),))
+    return _emit(
+        out, (a, b), lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape))
     )
 
 
@@ -252,37 +294,45 @@ def neg(a: Tensor) -> Tensor:
     return _emit(Tensor(-a.data), (a,), lambda g: (-g,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
+def matmul(a, b) -> Tensor:
+    x, y = _operands(a, b)
+    if x.ndim < 2 or y.ndim < 2:
         raise ShapeMismatch("matmul operands must have ndim >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}: inner dims differ")
+    if x.shape[-1] != y.shape[-2]:
+        raise ShapeMismatch(f"matmul {x.shape} @ {y.shape}: inner dims differ")
 
-    if b.ndim == 2:
+    if y.ndim == 2:
         # Dense-layer case: flatten leading dims into single GEMMs instead
         # of numpy's per-row batched path (and avoid materializing a
         # (batch, K, N) gradient that would then be summed down to (K, N)).
-        shape = a.shape
-        w = b.data
-        k, n = w.shape
-        a2 = a.data.reshape(-1, k)
-        out = Tensor((a2 @ w).reshape(*shape[:-1], n))
+        shape = x.shape
+        k, n = y.shape
+        x2 = x.reshape(-1, k)
+        out = Tensor((x2 @ y).reshape(*shape[:-1], n))
+        if not isinstance(b, Tensor):
+            return _emit(out, (a,), lambda g: ((g.reshape(-1, n) @ y.T).reshape(shape),))
+        if not isinstance(a, Tensor):
+            return _emit(out, (b,), lambda g: (x2.T @ g.reshape(-1, n),))
 
         def rule(g):
             g2 = g.reshape(-1, n)
-            return (g2 @ w.T).reshape(shape), a2.T @ g2
+            return (g2 @ y.T).reshape(shape), x2.T @ g2
 
         return _emit(out, (a, b), rule)
 
-    x, y = a.data, b.data
     try:
         out = Tensor(x @ y)
     except ValueError as exc:
-        raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}: {exc}") from None
+        raise ShapeMismatch(f"matmul {x.shape} @ {y.shape}: {exc}") from None
+    sa, sb = x.shape, y.shape
+    if not isinstance(b, Tensor):
+        return _emit(out, (a,), lambda g: (_unbroadcast(g @ y.swapaxes(-1, -2), sa),))
+    if not isinstance(a, Tensor):
+        return _emit(out, (b,), lambda g: (_unbroadcast(x.swapaxes(-1, -2) @ g, sb),))
 
     def rule(g):
-        ga = _unbroadcast(g @ y.swapaxes(-1, -2), x.shape)
-        gb = _unbroadcast(x.swapaxes(-1, -2) @ g, y.shape)
+        ga = _unbroadcast(g @ y.swapaxes(-1, -2), sa)
+        gb = _unbroadcast(x.swapaxes(-1, -2) @ g, sb)
         return ga, gb
 
     return _emit(out, (a, b), rule)
@@ -337,14 +387,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(
     a: Tensor, gain: Tensor, bias: Tensor, axis: int = -1, eps: float = 1e-5
 ) -> Tensor:
-    """``normalize(a) * gain + bias`` along ``axis``, as one tape record."""
-    mu = a.data.mean(axis=axis, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    y = centered * inv_std
+    """``normalize(a) * gain + bias`` along ``axis``, as one tape record.
+
+    Forward and backward reuse their temporaries through ``out=`` ufuncs,
+    with the operations and their order of the out-of-place expressions.
+    """
+    x = a.data
+    mu = x.mean(axis=axis, keepdims=True)
+    y = np.subtract(x, mu)  # centered, normalised in place below
+    out = np.multiply(y, y)  # squares first, then the output
+    inv_std = out.mean(axis=axis, keepdims=True)
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    y *= inv_std
     try:
-        out = Tensor(y * gain.data + bias.data)
+        np.multiply(y, gain.data, out=out)
+        out += bias.data
     except ValueError as exc:
         raise ShapeMismatch(
             f"layer_norm of {a.shape} with gain {gain.shape}, bias {bias.shape}: {exc}"
@@ -354,16 +413,21 @@ def layer_norm(
     bias_shape = bias.shape
 
     def rule(g):
-        gy = g * scale
+        gy = np.multiply(g, scale)
         g_mean = gy.mean(axis=axis, keepdims=True)
-        gyy_mean = (gy * y).mean(axis=axis, keepdims=True)
+        tmp = np.multiply(gy, y)
+        gyy_mean = tmp.mean(axis=axis, keepdims=True)
+        # inv_std * (gy - g_mean - y * gyy_mean), built in gy
+        gy -= g_mean
+        gy -= np.multiply(y, gyy_mean, out=tmp)
+        gy *= inv_std
         return (
-            inv_std * (gy - g_mean - y * gyy_mean),
-            _unbroadcast(g * y, scale.shape),
+            gy,
+            _unbroadcast(np.multiply(g, y, out=tmp), scale.shape),
             _unbroadcast(g, bias_shape),
         )
 
-    return _emit(out, (a, gain, bias), rule)
+    return _emit(Tensor(out), (a, gain, bias), rule)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

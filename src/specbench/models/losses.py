@@ -36,7 +36,7 @@ def huber_loss(target, pred, delta: float = HUBER_DELTA) -> Tensor:
     target_t, pred_t = _lift(target), _lift(pred)
     resid = pred_t - target_t
     absres = absval(resid)
-    small = Tensor((np.abs(pred_t.data - target_t.data) <= delta).astype(np.float64))
+    small = (np.abs(pred_t.data - target_t.data) <= delta).astype(np.float64)
     quadratic = 0.5 * mul(resid, resid)
     linear = delta * (absres - 0.5 * delta)
     return mean(mul(small, quadratic) + mul(1.0 - small, linear))

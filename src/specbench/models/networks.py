@@ -2,7 +2,9 @@
 
 Every network maps an already-scaled context batch (B, l) to a scaled
 forecast (B, h) through the autodiff graph; per-window scaling and its
-inverse live outside the networks.
+inverse live outside the networks. The scaled input, and arrays derived
+from it alone, enter the graph as constant operands (see
+:mod:`specbench.autodiff`), so no backward work is spent on them.
 """
 from __future__ import annotations
 
@@ -67,7 +69,8 @@ def _linear(rng, name, params, fan_in, fan_out):
     params[f"{name}.b"] = Tensor(np.zeros(fan_out))
 
 
-def _apply(params, name, x: Tensor) -> Tensor:
+def _apply(params, name, x) -> Tensor:
+    """Dense layer ``x @ w + b``; ``x`` is a Tensor or a constant array."""
     return add(matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
 
 
@@ -81,8 +84,7 @@ class NLinear:
 
     def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
         last = scaled[:, -1:]
-        shifted = Tensor(scaled - last)
-        return _apply(self.params, "proj", shifted) + Tensor(last)
+        return _apply(self.params, "proj", scaled - last) + last
 
 
 class DLinear:
@@ -96,9 +98,7 @@ class DLinear:
 
     def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
         trend, seasonal = moving_average_split(scaled, MOVING_AVG_KERNEL)
-        return _apply(self.params, "seasonal", Tensor(seasonal)) + _apply(
-            self.params, "trend", Tensor(trend)
-        )
+        return _apply(self.params, "seasonal", seasonal) + _apply(self.params, "trend", trend)
 
 
 class MLP:
@@ -114,7 +114,7 @@ class MLP:
         self.n_layers = len(dims) - 1
 
     def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
-        x = Tensor(scaled)
+        x = scaled
         for i in range(self.n_layers):
             x = _apply(self.params, f"layer{i}", x)
             if i < self.n_layers - 1:
@@ -157,11 +157,14 @@ class NBeatsLite:
         ]
 
     def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
+        # the first block reads the scaled input as a constant
+        block_input = scaled
         residual = Tensor(scaled)
         total: Tensor | None = None
         for block in self.blocks:
-            backcast, forecast = block.run(self.params, residual)
+            backcast, forecast = block.run(self.params, block_input)
             residual = residual - backcast
+            block_input = residual
             total = forecast if total is None else total + forecast
         return total
 
@@ -192,10 +195,10 @@ class NHitsLite:
         residual = Tensor(scaled)
         total: Tensor | None = None
         for block, pool, interp in zip(self.blocks, self.pools, self.interps):
-            pooled = matmul(residual, Tensor(pool))
+            pooled = matmul(residual, pool)
             backcast, theta = block.run(self.params, pooled)
             residual = residual - backcast
-            forecast = matmul(theta, Tensor(interp))
+            forecast = matmul(theta, interp)
             total = forecast if total is None else total + forecast
         return total
 

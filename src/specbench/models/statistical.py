@@ -51,13 +51,24 @@ def dominant_period(context: np.ndarray) -> int:
 
 def _ses_sweep(seqs: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean one-step absolute error per alpha (levels start at the first
-    value), and the final (W, alphas) levels."""
+    value), and the final (W, alphas) levels.
+
+    The recursion runs in preallocated (W, alphas) buffers, with the
+    operations and their order of ``alpha * y + (1 - alpha) * level``.
+    """
     W, L = seqs.shape
+    a = alphas[None, :]
+    keep = 1 - a
     level = np.repeat(seqs[:, :1], len(alphas), axis=1)
+    diff = np.empty_like(level)
     err = np.zeros(len(alphas))
     for t in range(1, L):
-        err += np.abs(seqs[:, t : t + 1] - level).sum(axis=0)
-        level = alphas[None, :] * seqs[:, t : t + 1] + (1 - alphas[None, :]) * level
+        y = seqs[:, t : t + 1]
+        np.subtract(y, level, out=diff)
+        err += np.abs(diff, out=diff).sum(axis=0)
+        np.multiply(a, y, out=diff)
+        level *= keep
+        level += diff
     return err / max(1, W * (L - 1)), level
 
 
@@ -65,21 +76,38 @@ def _holt_sweep(
     seqs: np.ndarray, alphas: np.ndarray, betas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean one-step absolute error per (alpha, beta) pair, flattened, and
-    the final (W, pairs) levels and trends."""
+    the final (W, pairs) levels and trends.
+
+    Like :func:`_ses_sweep`, the recursion reuses preallocated buffers and
+    keeps the operations and their order of the out-of-place update.
+    """
     W, L = seqs.shape
     A = len(alphas) * len(betas)
     a = np.repeat(alphas, len(betas))[None, :]
     b = np.tile(betas, len(alphas))[None, :]
+    keep_a, keep_b = 1 - a, 1 - b
     # state sits at time 1: l1 = y1, b1 = y1 - y0
     level = np.repeat(seqs[:, 1:2], A, axis=1)
     trend = np.repeat(seqs[:, 1:2] - seqs[:, :1], A, axis=1)
+    pred = np.empty_like(level)
+    new_level = np.empty_like(level)
+    tmp = np.empty_like(level)
     err = np.zeros(A)
     for t in range(2, L):
-        pred = level + trend
-        err += np.abs(seqs[:, t : t + 1] - pred).sum(axis=0)
-        new_level = a * seqs[:, t : t + 1] + (1 - a) * pred
-        trend = b * (new_level - level) + (1 - b) * trend
-        level = new_level
+        y = seqs[:, t : t + 1]
+        np.add(level, trend, out=pred)
+        np.subtract(y, pred, out=tmp)
+        err += np.abs(tmp, out=tmp).sum(axis=0)
+        # new level = a * y + (1 - a) * pred
+        np.multiply(a, y, out=new_level)
+        pred *= keep_a
+        new_level += pred
+        # trend = b * (new level - level) + (1 - b) * trend
+        np.subtract(new_level, level, out=tmp)
+        tmp *= b
+        trend *= keep_b
+        trend += tmp
+        level, new_level = new_level, level
     return err / max(1, W * (L - 2)), level, trend
 
 

@@ -143,7 +143,11 @@ def fit(config: ModelConfig, train: Windows, valid: Windows | None,
             history.append((step, train_loss, val_loss))
             if val_loss < best_val:
                 best_val = val_loss
-                best = {n: net.params[n].data.copy() for n in names}
+                # after the last step the network's own arrays are the best
+                # ones, and no later step can change them
+                last = step == tc.max_steps
+                best = {n: net.params[n].data if last else net.params[n].data.copy()
+                        for n in names}
                 bad_checks = 0
             else:
                 bad_checks += 1

@@ -116,7 +116,7 @@ class PatchTransformer:
         first = tslice(x, (Ellipsis, slice(0, half)))
         second = tslice(x, (Ellipsis, slice(half, None)))
         rotated = concat([-second, first], axis=-1)
-        return add(mul(x, Tensor(cos)), mul(rotated, Tensor(sin)))
+        return add(mul(x, cos), mul(rotated, sin))
 
     def _attention(self, x: Tensor, i: int, batch: int, drop_mask=None) -> Tensor:
         q, k, v = (
@@ -125,17 +125,17 @@ class PatchTransformer:
         )
         if self._rope is not None:
             q, k = self._rotate(q), self._rotate(k)
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), Tensor(1.0 / math.sqrt(self.head_dim)))
+        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(self.head_dim))
         if self._buckets is not None:
             bias = embedding(self.params["rel_bias"], self._buckets)  # (T, T, heads)
             scores = add(scores, transpose(bias, (2, 0, 1)))
         if self._causal_mask is not None:
-            scores = add(scores, Tensor(self._causal_mask))
+            scores = add(scores, self._causal_mask)
         context = matmul(softmax(scores, axis=-1), v)
         merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, self.n_tokens, self.cfg.hidden))
         out = _apply(self.params, f"layer{i}.attn.o", merged)
         if drop_mask is not None:
-            out = mul(out, Tensor(drop_mask))
+            out = mul(out, drop_mask)
         return out
 
     def encode(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
@@ -151,9 +151,9 @@ class PatchTransformer:
         if self.cfg.tokenization is Tokenization.BINNING:
             x = embedding(self.params["embed.table"], tokens)
         else:
-            x = _apply(self.params, "embed", Tensor(tokens))
+            x = _apply(self.params, "embed", tokens)
         if self._sincos is not None:
-            x = add(x, Tensor(self._sincos))
+            x = add(x, self._sincos)
         use_dropout = train_rng is not None and dropout > 0.0
         for i in range(self.cfg.n_layers):
             mask = None
@@ -164,7 +164,7 @@ class PatchTransformer:
             hidden = relu(_apply(self.params, f"layer{i}.ff1", self._ln(x, f"layer{i}.ln2")))
             if use_dropout:
                 keep = train_rng.random(hidden.shape) >= dropout
-                hidden = mul(hidden, Tensor(keep / (1.0 - dropout)))
+                hidden = mul(hidden, keep / (1.0 - dropout))
             x = add(x, _apply(self.params, f"layer{i}.ff2", hidden))
         return self._ln(x, "final_ln")
 
@@ -181,14 +181,14 @@ class PatchTransformer:
         trend_term = None
         if self.cfg.decomposition is Decomposition.MOVING_AVG:
             trend, _ = moving_average_split(scaled, MOVING_AVG_KERNEL)
-            trend_term = _apply(self.params, "trend", Tensor(trend))
+            trend_term = _apply(self.params, "trend", trend)
         h = self.cfg.horizon
         if self.cfg.loss is LossKind.STUDENT_T:
             mu = tslice(out, (slice(None), slice(0, h)))
             if trend_term is not None:
                 mu = add(mu, trend_term)
             sigma = softplus(tslice(out, (slice(None), slice(h, 2 * h))))
-            nu = add(softplus(tslice(out, (slice(None), slice(2 * h, 3 * h)))), Tensor(2.0))
+            nu = add(softplus(tslice(out, (slice(None), slice(2 * h, 3 * h)))), 2.0)
             return mu, sigma, nu
         if trend_term is not None:
             out = add(out, trend_term)

@@ -12,6 +12,12 @@ from .errors import ShapeMismatch
 __all__ = ["AdamState", "adam_step", "rng_stream", "uniform_fan_in"]
 
 
+# Adam walks each parameter in blocks of this many scalars, so that a block
+# of the parameter, its gradient, both moments and the two scratch blocks
+# (6 x 128 KiB) stay in cache across the update's dozen passes.
+_CHUNK = 16_384
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators keyed like the parameter dict."""
@@ -32,38 +38,52 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update (Kingma & Ba 2015, Algorithm 1).
 
-    Parameters and moments are updated in place through two scratch
-    arrays per parameter, with the same floating-point operations as
-    ``lr * (m / c1) / (sqrt(v / c2) + eps)``, so the result is
-    bit-identical to that expression.
+    Parameters and moments are updated in place, one contiguous block of
+    ``_CHUNK`` scalars at a time through two scratch blocks, with the same
+    floating-point operations as ``lr * (m / c1) / (sqrt(v / c2) + eps)``,
+    so the result is bit-identical to that expression.
     """
     state.step += 1
     t = state.step
     correction1 = 1.0 - beta1 ** t
     correction2 = 1.0 - beta2 ** t
+    keep1, keep2 = 1.0 - beta1, 1.0 - beta2
+    step_buf = np.empty(_CHUNK)
+    denom_buf = np.empty(_CHUNK)
     for name, param in params.items():
         grad = grads[name]
         if grad.shape != param.shape:
             raise ShapeMismatch(f"gradient for {name!r}: {grad.shape} vs {param.shape}")
+        if not param.data.flags.c_contiguous:  # else reshape would copy
+            param.data = np.ascontiguousarray(param.data)
         if name not in state.m:
             state.m[name] = np.zeros_like(param.data)
             state.v[name] = np.zeros_like(param.data)
-        m = state.m[name]
-        v = state.v[name]
-        step = np.multiply(grad, 1.0 - beta1, out=np.empty_like(m))
-        m *= beta1
-        m += step
-        np.multiply(grad, 1.0 - beta2, out=step)
-        step *= grad
-        v *= beta2
-        v += step
-        np.divide(m, correction1, out=step)
-        denom = np.divide(v, correction2, out=np.empty_like(v))
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step *= lr
-        step /= denom
-        param.data -= step
+        # flat views of the parameter and moments; the gradient is only
+        # read, so a flat copy of a non-contiguous one does as well
+        p = param.data.reshape(-1)
+        m = state.m[name].reshape(-1)
+        v = state.v[name].reshape(-1)
+        g = grad.reshape(-1)
+        for lo in range(0, p.size, _CHUNK):
+            hi = lo + _CHUNK
+            gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
+            step = step_buf[: gc.size]
+            denom = denom_buf[: gc.size]
+            np.multiply(gc, keep1, out=step)
+            mc *= beta1
+            mc += step
+            np.multiply(gc, keep2, out=step)
+            step *= gc
+            vc *= beta2
+            vc += step
+            np.divide(mc, correction1, out=step)
+            np.divide(vc, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step *= lr
+            step /= denom
+            p[lo:hi] -= step
 
 
 def rng_stream(seed: int, stream: str) -> np.random.Generator:

@@ -1,14 +1,20 @@
 import numpy as np
+import pytest
 
+from specbench.autodiff import Tensor
 from specbench.models import (
+    Decomposition,
     Family,
+    Head,
     ModelConfig,
     ModelSize,
+    Tokenization,
     TrainConfig,
     count_params,
     estimate_flops,
     fit,
 )
+from specbench.models import networks, transformer
 from specbench.models.networks import build_network
 from specbench.optim import rng_stream
 
@@ -70,3 +76,58 @@ def test_param_count_counts_statistical_state():
     cfg = ModelConfig(family=Family.AR_LS, horizon=h, context_len=l, ar_order=6)
     model = fit(cfg, _windows(10, l, h, seed=3), None, TrainConfig(max_steps=2))
     assert count_params(model) == 7  # 6 lag weights + intercept
+
+
+def _forward_gemms(monkeypatch, cfg, rows=2):
+    """Multiply-adds per row of every ``matmul`` one forward pass makes,
+    counted from the operand shapes through the names the networks look up
+    (as the benchmark's tracer wraps them), and the constant operands'
+    shapes in call order."""
+    macs, constants = [0], []
+    original = networks.matmul
+
+    def counting(a, b):
+        out = original(a, b)
+        macs[0] += out.size * np.shape(a)[-1]
+        constants.extend(np.shape(op) for op in (a, b) if not isinstance(op, Tensor))
+        return out
+
+    for module in (networks, transformer):
+        monkeypatch.setattr(module, "matmul", counting)
+    net = build_network(cfg, rng_stream(0, "flops"))
+    net.forward(np.random.default_rng(1).normal(size=(rows, cfg.context_len)))
+    assert macs[0] % rows == 0
+    return macs[0] // rows, constants
+
+
+# forward GEMM multiply-adds minus estimate_flops, per row at h = 24
+_FLOP_GAPS = [
+    (dict(family=Family.NLINEAR), 0),
+    (dict(family=Family.MLP), 0),
+    (dict(family=Family.NBEATS_LITE), 0),
+    # pooling is a dense (l, l / rate) GEMM; the estimate counts l adds per pool
+    (dict(family=Family.NHITS_LITE), 89_344),
+    # the moving average runs outside the tape, so no GEMM counts its l * 25
+    (dict(family=Family.DLINEAR), -6_400),
+    (dict(family=Family.PATCH_TRANSFORMER), 0),
+    (dict(family=Family.PATCH_TRANSFORMER, head=Head.RESIDUAL), 0),
+    (dict(family=Family.PATCH_TRANSFORMER, tokenization=Tokenization.BINNING), 0),
+    (dict(family=Family.PATCH_TRANSFORMER, tokenization=Tokenization.LAGS), 0),
+    (dict(family=Family.PATCH_TRANSFORMER, decomposition=Decomposition.MOVING_AVG), -6_400),
+]
+
+
+@pytest.mark.parametrize("fields, gap", _FLOP_GAPS, ids=lambda v: str(v))
+def test_estimate_flops_against_the_forward_gemms(monkeypatch, fields, gap):
+    cfg = ModelConfig(horizon=24, **fields)
+    counted, _ = _forward_gemms(monkeypatch, cfg)
+    assert counted - estimate_flops(cfg) == gap
+
+
+def test_nhits_pool_and_interp_gemms_run_on_constant_operands(monkeypatch):
+    cfg = ModelConfig(family=Family.NHITS_LITE, horizon=24)
+    counted, constants = _forward_gemms(monkeypatch, cfg)
+    assert (counted, estimate_flops(cfg)) == (1_467_672, 1_378_328)
+    # per block (rates 8, 4, 1): the (l, l / rate) pool, then the
+    # (h / rate, h) interpolation, each passed as an array
+    assert constants == [(256, 32), (3, 24), (256, 64), (6, 24), (256, 256), (24, 24)]

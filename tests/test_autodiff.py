@@ -299,6 +299,26 @@ def test_no_rule_closes_over_a_tensor():
     ]
     assert len(tape) > 25 and held == []
 
+    # With one operand a constant, the rule keeps nothing of the tensor
+    # operand: only the constant's gradient would read it.
+    c = rng.normal(size=(2, 3, 4))
+    for op, args in (
+        (add, (x, c)), (add, (c, x)), (mul, (x, c)), (mul, (c, x)), (mul, (x, 2.0)),
+        (mul, (2.0, x)), (matmul, (x, w.data)), (matmul, (c, w)),
+        (matmul, (x, c.transpose(0, 2, 1))), (matmul, (c.transpose(0, 2, 1), x)),
+    ):
+        tape = Tape()
+        with recording(tape):
+            op(*args)
+        ((_, _, inputs, rule),) = tape.records
+        (tensor,) = (arg for arg in args if isinstance(arg, Tensor))
+        cells = [cell.cell_contents for cell in rule.__closure__ or ()]
+        assert inputs == (tensor.node,)
+        assert not any(isinstance(cell, Tensor) for cell in cells)
+        assert not any(
+            isinstance(cell, np.ndarray) and np.shares_memory(cell, tensor.data) for cell in cells
+        ), (op.__name__, [np.shape(arg) for arg in args])
+
 
 def test_identity_survives_address_reuse():
     rng = np.random.default_rng(46)
@@ -367,3 +387,61 @@ def test_no_recording_outside_tape():
     y = mul(x, x)  # no active tape: nothing recorded
     assert len(tape) == 0
     assert y.shape == (3,)
+
+
+# (op, tensor shape, constant, whether the constant is the second operand)
+_CONSTANT_CASES = [
+    (add, (4, 3), np.linspace(-1.0, 1.0, 3), True),
+    (add, (4, 3), np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3), False),
+    (add, (4, 3), 2.5, True),
+    (mul, (4, 3), np.linspace(-1.0, 1.0, 3), True),
+    (mul, (4, 1), np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3), False),
+    (mul, (4, 3), 0.125, True),
+    (mul, (4, 3), -3.0, False),
+    (matmul, (5, 4), np.linspace(-1.0, 1.0, 12).reshape(4, 3), True),
+    (matmul, (4, 3), np.linspace(-1.0, 1.0, 40).reshape(2, 5, 4), False),
+    (matmul, (2, 5, 4), np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3), True),
+    (matmul, (3, 4, 6), np.linspace(-1.0, 1.0, 40).reshape(2, 1, 5, 4), False),
+]
+
+
+@pytest.mark.parametrize("op, shape, constant, second", _CONSTANT_CASES)
+def test_constant_operand_gradient_matches_a_wrapped_constant(op, shape, constant, second):
+    rng = np.random.default_rng(47)
+    x = Tensor(rng.normal(size=shape))
+
+    def run(c):
+        tape = Tape()
+        with recording(tape):
+            out = op(x, c) if second else op(c, x)
+            loss = mean(mul(out, Tensor(np.cos(np.arange(out.size)).reshape(out.shape))))
+        inputs = tape.records[0][2]
+        (grad,) = backward(tape, loss, [x])
+        return out.data, grad, inputs
+
+    out, grad, inputs = run(constant)
+    wrapped_out, wrapped_grad, wrapped_inputs = run(Tensor(constant))
+    assert inputs == (x.node,) and len(wrapped_inputs) == 2
+    np.testing.assert_array_equal(out, wrapped_out)
+    np.testing.assert_array_equal(grad, wrapped_grad)
+
+
+@pytest.mark.parametrize("op, tensor_shape, constant_shape, second", [
+    (add, (4, 3), (5,), True),
+    (add, (4, 3), (2, 4), False),
+    (mul, (4, 3), (4, 2), True),
+    (mul, (2, 3), (3, 2), False),
+    (matmul, (2, 3), (4, 2), True),
+    (matmul, (2, 3), (5, 4), False),
+    (matmul, (2, 5, 3), (4, 3, 2), True),
+])
+def test_constant_operand_shape_mismatch_names_both_shapes(op, tensor_shape, constant_shape, second):
+    x, c = Tensor(np.ones(tensor_shape)), np.ones(constant_shape)
+    with pytest.raises(ShapeMismatch) as info:
+        op(x, c) if second else op(c, x)
+    assert str(tensor_shape) in str(info.value) and str(constant_shape) in str(info.value)
+
+
+def test_two_constant_operands_are_rejected():
+    with pytest.raises(TypeError):
+        add(np.ones(3), 1.0)

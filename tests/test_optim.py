@@ -1,7 +1,7 @@
 import numpy as np
 
 from specbench.autodiff import Tensor
-from specbench.optim import AdamState, adam_step, rng_stream, uniform_fan_in
+from specbench.optim import _CHUNK, AdamState, adam_step, rng_stream, uniform_fan_in
 
 from helpers import adam_step_reference
 
@@ -41,11 +41,19 @@ def test_trajectory_determinism():
 
 
 def test_adam_matches_out_of_place_reference_exactly():
-    shapes = {"w": (5, 3), "b": (3,), "scale": (1,), "conv": (2, 4, 3)}
+    # besides small shapes: more than one block (not a whole number of
+    # them), a whole number of blocks, exactly one block, and a 0-d scalar
+    shapes = {
+        "w": (5, 3), "b": (3,), "scale": (1,), "conv": (2, 4, 3),
+        "big": (2 * _CHUNK + 77,), "blocks": (3, _CHUNK), "one_block": (_CHUNK,), "scalar": (),
+    }
     rng = np.random.default_rng(41)
     init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     fast = {name: Tensor(value.copy()) for name, value in init.items()}
     slow = {name: Tensor(value.copy()) for name, value in init.items()}
+    for params in (fast, slow):
+        # a Tensor is at least 1-d, so the 0-d parameter is set directly
+        params["scalar"].data = init["scalar"].copy()
     fast_state, slow_state = AdamState(), AdamState()
     for _ in range(5):
         grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 3)
@@ -53,7 +61,8 @@ def test_adam_matches_out_of_place_reference_exactly():
         adam_step(fast, grads, fast_state, lr=3e-3)
         adam_step_reference(slow, grads, slow_state, lr=3e-3)
     assert fast_state.step == slow_state.step == 5
-    for name in shapes:
+    for name, shape in shapes.items():
+        assert fast[name].shape == shape
         np.testing.assert_array_equal(fast[name].data, slow[name].data)
         np.testing.assert_array_equal(fast_state.m[name], slow_state.m[name])
         np.testing.assert_array_equal(fast_state.v[name], slow_state.v[name])

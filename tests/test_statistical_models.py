@@ -10,7 +10,7 @@ import pytest
 import specbench
 from specbench.errors import BadContextLength, EmptyTrainSet
 from specbench.models import Family, ModelConfig, TrainConfig, fit, predict
-from specbench.models.statistical import _fit_ar
+from specbench.models.statistical import SMOOTHING_GRID, _fit_ar, _holt_sweep, _ses_sweep
 from specbench.series import Windows
 
 from helpers import stack_windows, take
@@ -222,7 +222,7 @@ def test_ar_keeps_overlapping_windows_of_different_sources_apart():
 
 _AR_THREADS_CHILD = """
 from specbench.harness.runner import split_windows, synthetic_dataset
-from specbench.models.statistical import _fit_ar
+from specbench.models.statistical import SMOOTHING_GRID, _fit_ar, _holt_sweep, _ses_sweep
 from specbench.series import ForecastTask, Windows
 task = ForecastTask(256, 192)
 series = synthetic_dataset("sinusoid", 4, 1, 1200).composed
@@ -249,3 +249,44 @@ def test_ar_fit_bytes_do_not_depend_on_blas_threads():
         outputs.append(proc.stdout.split())
     assert len(outputs[0]) == 2
     assert outputs[0] == outputs[1]
+
+
+def _ses_sweep_reference(seqs, alphas):
+    """The out-of-place SES recursion, one new array per step."""
+    W, L = seqs.shape
+    level = np.repeat(seqs[:, :1], len(alphas), axis=1)
+    err = np.zeros(len(alphas))
+    for t in range(1, L):
+        err += np.abs(seqs[:, t : t + 1] - level).sum(axis=0)
+        level = alphas[None, :] * seqs[:, t : t + 1] + (1 - alphas[None, :]) * level
+    return err / max(1, W * (L - 1)), level
+
+
+def _holt_sweep_reference(seqs, alphas, betas):
+    """The out-of-place Holt recursion, one new array per step."""
+    W, L = seqs.shape
+    A = len(alphas) * len(betas)
+    a = np.repeat(alphas, len(betas))[None, :]
+    b = np.tile(betas, len(alphas))[None, :]
+    level = np.repeat(seqs[:, 1:2], A, axis=1)
+    trend = np.repeat(seqs[:, 1:2] - seqs[:, :1], A, axis=1)
+    err = np.zeros(A)
+    for t in range(2, L):
+        pred = level + trend
+        err += np.abs(seqs[:, t : t + 1] - pred).sum(axis=0)
+        new_level = a * seqs[:, t : t + 1] + (1 - a) * pred
+        trend = b * (new_level - level) + (1 - b) * trend
+        level = new_level
+    return err / max(1, W * (L - 2)), level, trend
+
+
+@pytest.mark.parametrize("rows, length", [(1, 3), (1, 40), (7, 3), (64, 448)])
+def test_smoothing_sweeps_match_out_of_place_references_exactly(rows, length):
+    rng = np.random.default_rng(rows * 1000 + length)
+    seqs = rng.normal(size=(rows, length)).cumsum(axis=1) * 10.0 ** rng.integers(-3, 4)
+    for alphas, betas in ((SMOOTHING_GRID, SMOOTHING_GRID), (np.array([0.35]), np.array([0.8]))):
+        for fast, slow in zip(_ses_sweep(seqs, alphas), _ses_sweep_reference(seqs, alphas)):
+            np.testing.assert_array_equal(fast, slow)
+        holt = _holt_sweep(seqs, alphas, betas)
+        for fast, slow in zip(holt, _holt_sweep_reference(seqs, alphas, betas)):
+            np.testing.assert_array_equal(fast, slow)

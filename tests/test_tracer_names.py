@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from specbench.autodiff import Tape, Tensor, backward, matmul, mean, recording, relu
+from specbench.autodiff import Tape, Tensor, backward, matmul, mean, mul, recording, relu
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -70,3 +70,34 @@ def test_op_wrapper_times_the_backward_of_node_records():
     assert tracer.op_bwd_s["matmul"] > 0
     for a, b in zip(plain, traced):
         np.testing.assert_array_equal(a, b)
+
+
+def test_op_wrapper_times_the_backward_of_constant_operand_records():
+    # a mask passed as an array is no tape input; the wrapped op's record
+    # still gets its backward timed, and the gradient is unchanged
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(16, 8))
+    w = Tensor(rng.normal(size=(8, 4)))
+    mask = (rng.random((16, 4)) > 0.5) / 0.5
+
+    def gradient(ops, tracer=None):
+        tape = Tape()
+        if tracer is not None:
+            tracer._tape = tape
+        with recording(tape):
+            loss = mean(ops.mul(matmul(x, w), mask))
+        if tracer is not None:
+            tracer._tape = None
+        _, _, inputs, rule = tape.records[1]
+        (grad,) = backward(tape, loss, [w])
+        return grad, inputs, rule
+
+    plain, _, _ = gradient(types.SimpleNamespace(mul=mul))
+    module = _tracer()
+    tracer = module.Tracer()
+    ops = types.SimpleNamespace(mul=mul)
+    tracer._wrap_op(ops, "mul")
+    traced, inputs, rule = gradient(ops, tracer)
+    assert len(inputs) == 1 and isinstance(rule, module._TimedRule)
+    assert tracer.op_bwd_s["mul"] > 0
+    np.testing.assert_array_equal(plain, traced)
