@@ -157,6 +157,8 @@ class ModelConfig:
                 )
             if self.patch_stride <= 0:
                 raise ValueError("patch_stride must be positive")
+        if self.family is Family.AR_LS and self.ar_order < 1:
+            raise ValueError("ar_order must be at least 1")
         if self.family is Family.AR_LS and self.ar_order >= self.context_len:
             raise ValueError("ar_order must be below context_len")
         if self.family is Family.NHITS_LITE and len(self.nhits_pool_rates) != self.nbeats_blocks:

@@ -3,7 +3,9 @@
 These families carry no gradient-trained parameters: fitting is either a
 no-op (naive forecasters), a small smoothing-constant grid search
 minimizing in-sample one-step MAE, or ordinary least squares for the
-autoregressive baseline.
+autoregressive baseline. Seasonal-naive repeats the context's last
+dominant period, found from the DFT's amplitudes alone; AR_LS recurses on
+one contiguous lag buffer per context row.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from ..errors import EmptyTrainSet
 from ..series import Windows
-from ..spectral import dft, sorted_components
+from ..spectral import dft, dominant_frequency
 from .config import Family, ModelConfig
 
 __all__ = [
@@ -41,20 +43,23 @@ def _sequences(train: Windows, cap: int = _MAX_FIT_WINDOWS) -> tuple[np.ndarray,
 
 
 def dominant_period(context: np.ndarray) -> int:
-    """Period (in samples) of the largest non-DC spectral bin of the context."""
-    freq, _, _ = sorted_components(dft(context))
-    freq = freq[freq > 0]
-    if not freq.size:
-        return 1
-    return max(1, round(len(context) / int(freq[0])))
+    """Period ``round(l / w)`` (at least 1) of the largest non-DC spectral
+    bin ``w`` of the context, ties to the lower frequency; 1 when every
+    non-DC bin is numerical residue. Only the bins' amplitudes are read
+    (:func:`specbench.spectral.dominant_frequency`)."""
+    w = dominant_frequency(dft(context))
+    return max(1, round(len(context) / w)) if w else 1
 
 
-def _ses_sweep(seqs: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ses_sweep(
+    seqs: np.ndarray, alphas: np.ndarray, score: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Mean one-step absolute error per alpha (levels start at the first
-    value), and the final (W, alphas) levels.
+    value), or None when not ``score``, and the final (W, alphas) levels.
 
     The recursion runs in preallocated (W, alphas) buffers, with the
     operations and their order of ``alpha * y + (1 - alpha) * level``.
+    Scoring only reads the levels, so they are the same bits either way.
     """
     W, L = seqs.shape
     a = alphas[None, :]
@@ -64,19 +69,20 @@ def _ses_sweep(seqs: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.nda
     err = np.zeros(len(alphas))
     for t in range(1, L):
         y = seqs[:, t : t + 1]
-        np.subtract(y, level, out=diff)
-        err += np.abs(diff, out=diff).sum(axis=0)
+        if score:
+            np.subtract(y, level, out=diff)
+            err += np.abs(diff, out=diff).sum(axis=0)
         np.multiply(a, y, out=diff)
         level *= keep
         level += diff
-    return err / max(1, W * (L - 1)), level
+    return (err / max(1, W * (L - 1)) if score else None), level
 
 
 def _holt_sweep(
-    seqs: np.ndarray, alphas: np.ndarray, betas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean one-step absolute error per (alpha, beta) pair, flattened, and
-    the final (W, pairs) levels and trends.
+    seqs: np.ndarray, alphas: np.ndarray, betas: np.ndarray, score: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Mean one-step absolute error per (alpha, beta) pair, flattened, or
+    None when not ``score``, and the final (W, pairs) levels and trends.
 
     Like :func:`_ses_sweep`, the recursion reuses preallocated buffers and
     keeps the operations and their order of the out-of-place update.
@@ -96,8 +102,9 @@ def _holt_sweep(
     for t in range(2, L):
         y = seqs[:, t : t + 1]
         np.add(level, trend, out=pred)
-        np.subtract(y, pred, out=tmp)
-        err += np.abs(tmp, out=tmp).sum(axis=0)
+        if score:
+            np.subtract(y, pred, out=tmp)
+            err += np.abs(tmp, out=tmp).sum(axis=0)
         # new level = a * y + (1 - a) * pred
         np.multiply(a, y, out=new_level)
         pred *= keep_a
@@ -108,7 +115,7 @@ def _holt_sweep(
         trend *= keep_b
         trend += tmp
         level, new_level = new_level, level
-    return err / max(1, W * (L - 2)), level, trend
+    return (err / max(1, W * (L - 2)) if score else None), level, trend
 
 
 def _fit_ar(train: Windows, order: int) -> np.ndarray:
@@ -178,16 +185,17 @@ def predict_statistical(
     config: ModelConfig, extra: dict[str, np.ndarray], rows: np.ndarray
 ) -> np.ndarray:
     """Forecasts (n, h) for the context rows (n, l). SES and HOLT run the
-    recursion of their grid fit with the fitted constants."""
+    recursion of their grid fit with the fitted constants, without its
+    one-step scoring."""
     family = config.family
     h = config.horizon
     if family is Family.NAIVE_LAST:
         return np.repeat(rows[:, -1:], h, axis=1)
     if family is Family.SES:
-        _, level = _ses_sweep(rows, extra["alpha"])
+        _, level = _ses_sweep(rows, extra["alpha"], score=False)
         return np.repeat(level, h, axis=1)
     if family is Family.HOLT:
-        _, level, trend = _holt_sweep(rows, extra["alpha"], extra["beta"])
+        _, level, trend = _holt_sweep(rows, extra["alpha"], extra["beta"], score=False)
         return level + trend * np.arange(1, h + 1)
     if family is Family.SEASONAL_NAIVE:
         return np.reshape([np.resize(r[-dominant_period(r) :], h) for r in rows], (-1, h))
@@ -197,13 +205,16 @@ def predict_statistical(
 
 
 def _ar_forecast(beta: np.ndarray, context: np.ndarray, h: int) -> np.ndarray:
-    """Recursive AR forecast of one context row. Each step is one ``np.dot``
-    of two vectors; a matrix product over rows would sum in another order."""
+    """Recursive AR forecast of one context row.
+
+    One ``(h + order,)`` buffer holds the lags newest first: the context
+    fills its tail, and step ``i`` (from the end) writes ``buf[i]`` from the
+    ``order`` values after it. Each step is one ``np.dot`` of two contiguous
+    vectors; a matrix product over rows would sum in another order."""
     order = beta.size - 1
-    buf = list(context[-order:][::-1])  # most recent first
-    out = np.empty(h)
-    for i in range(h):
-        nxt = float(np.dot(beta[:-1], buf) + beta[-1])
-        out[i] = nxt
-        buf = [nxt] + buf[:-1]
-    return out
+    weights, intercept = beta[:-1], beta[-1]
+    buf = np.empty(h + order)
+    buf[h:] = context[-order:][::-1]
+    for i in range(h - 1, -1, -1):
+        buf[i] = np.dot(weights, buf[i + 1 : i + 1 + order]) + intercept
+    return buf[:h][::-1]

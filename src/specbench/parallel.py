@@ -67,20 +67,27 @@ def ordered_map(
     """``map(fn, items)`` over ``min(worker_count(), count)`` worker
     processes, results in input order; ``count`` defaults to ``len(items)``.
 
-    With one worker or at most one item it is the built-in ``map`` in this
-    process, which takes each item when the loop asks for its result and
-    leaves this process's BLAS threads as they are. A pool takes every item
-    before the first result is back; ``fn`` and the items must pickle, and
-    ``chunksize`` items go to a worker at a time. The worker count is read,
-    and a bad ``SPECBENCH_WORKERS`` raised, when this is called.
+    With one worker or at most one item it maps in this process, taking
+    each item when the loop asks for its result and leaving this process's
+    BLAS threads as they are. A pool takes every item before the first
+    result is back; ``fn`` and the items must pickle, and ``chunksize``
+    items go to a worker at a time. The worker count is read, and a bad
+    ``SPECBENCH_WORKERS`` raised, when this is called.
+
+    The result is a generator. A caller that stops early closes it: the
+    pool then drops the chunks no worker has started, waits for those
+    that have, and stops its workers.
     """
     workers = min(worker_count(), len(items) if count is None else count)
     if workers <= 1:
-        return map(fn, items)
+        return (fn(item) for item in items)
     return _pooled(fn, items, workers, chunksize)
 
 
 def _pooled(fn: Callable, items: Iterable, workers: int, chunksize: int) -> Iterator:
     with ProcessPoolExecutor(max_workers=workers, mp_context=_CONTEXT,
                              initializer=pin_blas_threads) as pool:
-        yield from pool.map(fn, items, chunksize=chunksize)
+        try:
+            yield from pool.map(fn, items, chunksize=chunksize)
+        finally:
+            pool.shutdown(cancel_futures=True)

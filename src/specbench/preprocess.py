@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -274,18 +276,18 @@ def mean_acf(values: np.ndarray, nlags: int = ACF_LAGS) -> float:
     return float(np.mean(acf))
 
 
-def _screen(values: np.ndarray, alpha: float, nlags: int) -> float | None:
-    """Mean autocorrelation of a segment that passes the stationarity
-    screen; None if it fails or is degenerate."""
-    try:
-        report = adf_test(values, alpha=alpha)
-    except DegenerateInput:
-        return None
-    return mean_acf(values, nlags=nlags) if report.stationary else None
+def _stationary(values: np.ndarray, alpha: float) -> bool:
+    """Whether a non-constant segment passes the stationarity screen."""
+    return adf_test(values, alpha=alpha).stationary
 
 
-# segments sent to a screening worker at a time
-_SCREEN_CHUNK = 16
+# Candidates tested in this process before the rest of a walk goes to
+# the worker pool. On two CPUs a fresh pool's start-up (50-80 ms to its
+# first result) leaves it slower than testing in this process on walks
+# of up to about this many candidates, and faster on longer ones.
+_SERIAL_TESTS = 128
+# candidates sent to a screening worker at a time
+_SCREEN_CHUNK = 4
 
 
 def select_series(
@@ -294,22 +296,48 @@ def select_series(
     alpha: float = ADF_ALPHA,
     nlags: int = ACF_LAGS,
 ) -> list[Segment]:
-    """Drop segments that fail the stationarity screen, rank survivors by
-    mean autocorrelation, and keep the top ``keep`` (stable tie-break by
-    parent id and offset).
+    """The ``keep`` segments of highest mean autocorrelation among those
+    that pass the stationarity screen (stable tie-break by parent id and
+    offset), in that order.
 
-    Segments are screened on :func:`specbench.parallel.ordered_map`'s
-    workers (``SPECBENCH_WORKERS``, or one per usable CPU), a chunk of
-    segments at a time; the screen's arithmetic does not depend on the BLAS
-    thread count, so every worker count keeps the same segments in the
-    same order.
+    Constant segments, on which the unit-root statistic is undefined, are
+    dropped. The rest are ranked by mean autocorrelation first, and the
+    ADF test then walks them in rank order until ``keep`` have passed, so
+    a segment ranked below the last one kept is never tested. That keeps
+    the same segments, in the same order, as screening every segment and
+    then ranking the survivors. Only when fewer than ``keep`` pass is every
+    segment tested, and :class:`NotEnoughStationary` says how many passed.
+    A segment no longer than ``nlags`` raises ValueError, whatever its
+    ADF outcome.
+
+    The first ``_SERIAL_TESTS`` candidates are tested in this process,
+    where a short walk costs less than starting a pool. A walk that goes
+    on past them runs on :func:`specbench.parallel.ordered_map`'s workers
+    (``SPECBENCH_WORKERS``, or one per usable CPU), a chunk of candidates
+    at a time. Once ``keep`` have passed it closes the map, so chunks no
+    worker has started are dropped. The test's arithmetic does not depend
+    on the BLAS thread count, so every worker count keeps the same
+    segments in the same order.
     """
-    screen = partial(_screen, alpha=alpha, nlags=nlags)
-    acfs = ordered_map(screen, [seg.values for seg in segments], chunksize=_SCREEN_CHUNK)
-    survivors = [(acf, seg) for acf, seg in zip(acfs, segments) if acf is not None]
-    if len(survivors) < keep:
-        raise NotEnoughStationary(
-            f"only {len(survivors)} stationary segments, need {keep}"
-        )
-    survivors.sort(key=lambda item: (-item[0], item[1].parent_id, item[1].offset))
-    return [seg for _, seg in survivors[:keep]]
+    if keep < 0:
+        raise ValueError("keep must be >= 0")
+    ranked = [
+        (mean_acf(seg.values, nlags=nlags), seg)
+        for seg in segments
+        if seg.values.max() != seg.values.min()
+    ]
+    ranked.sort(key=lambda item: (-item[0], item[1].parent_id, item[1].offset))
+    kept: list[Segment] = []
+    if keep == 0:
+        return kept
+    screen = partial(_stationary, alpha=alpha)
+    values = [seg.values for _, seg in ranked]
+    head = map(screen, values[:_SERIAL_TESTS])
+    tail = ordered_map(screen, values[_SERIAL_TESTS:], chunksize=_SCREEN_CHUNK)
+    with closing(tail):
+        for stationary, (_, seg) in zip(chain(head, tail), ranked):
+            if stationary:
+                kept.append(seg)
+                if len(kept) == keep:
+                    return kept
+    raise NotEnoughStationary(f"only {len(kept)} stationary segments, need {keep}")

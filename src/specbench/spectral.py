@@ -26,6 +26,7 @@ __all__ = [
     "dft",
     "reconstruct_full",
     "sorted_components",
+    "dominant_frequency",
     "top_k_components",
     "basis_series",
     "partial_sums",
@@ -69,18 +70,29 @@ def reconstruct_full(dec: SpectralDecomposition) -> np.ndarray:
     return np.real(np.fft.ifft(dec.coeffs, norm="forward"))
 
 
+def _pair_amplitudes(dec: SpectralDecomposition) -> np.ndarray:
+    """Amplitude of each pair-collapsed bin ``0..n//2``: ``2 |c_w|`` for a
+    conjugate pair, ``|c_w|`` for the DC bin and (even ``n``) the Nyquist
+    bin. ``np.hypot`` equals ``abs(complex)`` bit for bit; numpy's
+    vectorised ``abs`` on complex differs from it in the last bit on some
+    bins, which can reorder ties and move k_max."""
+    n = dec.n
+    half = dec.coeffs[: n // 2 + 1]
+    amplitude = np.hypot(half.real, half.imag)
+    amplitude[1 : (n + 1) // 2] *= 2.0
+    return amplitude
+
+
 def sorted_components(dec: SpectralDecomposition) -> Components:
     """``(freq_index, amplitude, phase)`` of the pair-collapsed components
     with non-negligible amplitude, sorted by descending amplitude (ties:
     lower frequency first).
 
-    A conjugate pair's amplitude is ``2 |c_w|`` and its phase
-    ``atan2(im, re)`` (``-pi`` folded to ``pi``); the DC bin and (even
-    ``n``) the Nyquist bin keep ``|c_w|`` and take phase 0 or ``pi`` from
-    the sign of the real part. Amplitudes use ``np.hypot``, which equals
-    ``abs(complex)`` bit for bit, and phases a per-bin ``math.atan2``:
-    numpy's vectorised ``abs`` on complex and ``arctan2`` differ from them
-    in the last bit on some bins, which can reorder ties and move k_max.
+    Amplitudes are :func:`_pair_amplitudes`. A conjugate pair's phase is
+    ``atan2(im, re)`` (``-pi`` folded to ``pi``); the DC and Nyquist bins
+    take phase 0 or ``pi`` from the sign of the real part. Phases use a
+    per-bin ``math.atan2``, since numpy's ``arctan2`` differs from it in the
+    last bit on some bins.
     """
     n = dec.n
     half = dec.coeffs[: n // 2 + 1]
@@ -88,14 +100,23 @@ def sorted_components(dec: SpectralDecomposition) -> Components:
     single = np.zeros(half.size, dtype=bool)
     single[0] = True
     single[-1] |= n % 2 == 0
-    amplitude = np.hypot(re, im)
-    amplitude[~single] *= 2.0
+    amplitude = _pair_amplitudes(dec)
     phase = np.array([math.atan2(b, a) for a, b in zip(re.tolist(), im.tolist())])
     phase[phase <= -math.pi] = math.pi
     phase[single] = np.where(re[single] >= 0, 0.0, math.pi)
     keep = np.flatnonzero(amplitude > amplitude.max() * _NONZERO_RTOL)
     order = keep[np.lexsort((keep, -amplitude[keep]))]
     return order, amplitude[order], phase[order]
+
+
+def dominant_frequency(dec: SpectralDecomposition) -> int:
+    """Frequency index of the first component of :func:`sorted_components`
+    with ``freq_index >= 1``, or 0 if there is none; it reads only the
+    amplitudes. The first maximum over bins ``1..n//2`` wins, so a tie goes
+    to the lower frequency."""
+    amplitude = _pair_amplitudes(dec)
+    w = 1 + int(np.argmax(amplitude[1:]))
+    return w if amplitude[w] > amplitude.max() * _NONZERO_RTOL else 0
 
 
 def top_k_components(dec: SpectralDecomposition, k: int) -> Components:

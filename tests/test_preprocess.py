@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -297,6 +298,106 @@ def test_select_series_is_the_same_with_one_and_two_workers(monkeypatch):
     assert [s.id for s in kept[0]] == [s.id for s in kept[1]]
     assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(*kept))
     assert {s.parent_id for s in kept[0]} == {"sine", "noise"}
+
+
+
+def _select_series_reference(segments, keep, nlags):
+    """The screen-everything selection: ADF-test every segment, then rank
+    the stationary ones by mean autocorrelation."""
+    survivors = []
+    for seg in segments:
+        try:
+            report = adf_test(seg.values)
+        except DegenerateInput:
+            continue
+        if report.stationary:
+            survivors.append((mean_acf(seg.values, nlags=nlags), seg))
+    if len(survivors) < keep:
+        raise NotEnoughStationary(f"only {len(survivors)} stationary segments, need {keep}")
+    survivors.sort(key=lambda item: (-item[0], item[1].parent_id, item[1].offset))
+    return [seg for _, seg in survivors[:keep]]
+
+
+def _mixed_segments():
+    """Three each of noise, walks and sines (six stationary in all), two
+    constants and a ramp, in about the reverse of their mean-ACF order."""
+    rng = np.random.default_rng(33)
+    return (
+        [Segment("noise", i, rng.normal(size=1056)) for i in range(3)]
+        + [Segment("const", i, np.full(1056, float(i))) for i in range(2)]
+        + [_walk_segment(i) for i in range(3)]
+        + [Segment("ramp", 0, np.arange(1056.0))]
+        + [_sinusoid_segment(i) for i in range(3)]
+    )
+
+
+# (workers, candidates tested in process before the pool takes the rest)
+_WALKS = [("1", 128), ("2", 128), ("2", 0), ("2", 2)]
+
+
+@pytest.mark.parametrize("workers,head", _WALKS)
+@pytest.mark.parametrize("keep", [0, 1, 6, 7])
+def test_select_series_matches_the_screen_everything_reference(monkeypatch, workers, head, keep):
+    monkeypatch.setenv("SPECBENCH_WORKERS", workers)
+    monkeypatch.setattr(preprocess, "_SERIAL_TESTS", head)
+    segs = _mixed_segments()
+    try:
+        expected = _select_series_reference(segs, keep, nlags=8)
+    except NotEnoughStationary as exc:
+        with pytest.raises(NotEnoughStationary) as got:
+            select_series(segs, keep=keep, nlags=8)
+        assert str(got.value) == str(exc) == "only 6 stationary segments, need 7"
+        return
+    kept = select_series(segs, keep=keep, nlags=8)
+    assert [s.id for s in kept] == [s.id for s in expected]
+    assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(kept, expected))
+
+
+@pytest.mark.parametrize("workers,head", [("1", 0), ("1", 3), ("2", 128)])
+def test_select_series_tests_only_the_candidates_ranked_down_to_the_last_kept(
+    monkeypatch, workers, head
+):
+    # by mean ACF: three sines, the ramp, three walks, then the noise; the
+    # counter sees only tests run in this process, so with two workers it
+    # also shows that a walk shorter than the head starts no pool
+    monkeypatch.setenv("SPECBENCH_WORKERS", workers)
+    monkeypatch.setattr(preprocess, "_SERIAL_TESTS", head)
+    segs = _mixed_segments()
+    ranked = sorted(
+        (seg for seg in segs if seg.parent_id != "const"),
+        key=lambda seg: (-mean_acf(seg.values, nlags=8), seg.parent_id, seg.offset),
+    )
+    assert [seg.parent_id for seg in ranked] == ["sine"] * 3 + ["ramp"] + ["walk"] * 3 + ["noise"] * 3
+    tested = []
+
+    def counted(values, *args, **kwargs):
+        tested.append(values)
+        return adf_test(values, *args, **kwargs)
+
+    monkeypatch.setattr(preprocess, "adf_test", counted)
+    for keep, walked in ((1, 1), (3, 3), (4, 8), (6, 10), (7, 10)):
+        tested.clear()
+        try:
+            select_series(segs, keep=keep, nlags=8)
+        except NotEnoughStationary:
+            assert keep == 7
+        assert len(tested) == walked
+        assert all(v is seg.values for v, seg in zip(tested, ranked))
+
+
+def test_select_series_leaves_no_worker_behind_after_an_early_stop(monkeypatch):
+    # 29 of 48 candidates decide keep 13: two in process, the rest on the pool
+    monkeypatch.setenv("SPECBENCH_WORKERS", "2")
+    monkeypatch.setattr(preprocess, "_SERIAL_TESTS", 2)
+    segs = _mixed_segments() * 4
+    kept = select_series(segs, keep=13, nlags=8)
+    assert [s.id for s in kept] == [s.id for s in _select_series_reference(segs, 13, nlags=8)]
+    assert multiprocessing.active_children() == []
+
+
+def test_select_series_rejects_a_negative_keep():
+    with pytest.raises(ValueError, match="keep"):
+        select_series(_mixed_segments(), keep=-1, nlags=8)
 
 
 _SCREEN_THREADS_CHILD = """

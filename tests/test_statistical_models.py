@@ -10,8 +10,11 @@ import pytest
 import specbench
 from specbench.errors import BadContextLength, EmptyTrainSet
 from specbench.models import Family, ModelConfig, TrainConfig, fit, predict
-from specbench.models.statistical import SMOOTHING_GRID, _fit_ar, _holt_sweep, _ses_sweep
+from specbench.models.statistical import (
+    SMOOTHING_GRID, _ar_forecast, _fit_ar, _holt_sweep, _ses_sweep, dominant_period,
+)
 from specbench.series import Windows
+from specbench.spectral import dft, sorted_components
 
 from helpers import stack_windows, take
 
@@ -76,6 +79,39 @@ def test_seasonal_naive_repeats_dominant_period():
     np.testing.assert_allclose(forecast, expected, atol=1e-12)
     np.testing.assert_allclose(forecast, values[64:96], atol=1e-9)
 
+
+
+def _dominant_period_reference(context):
+    """The period of the first non-DC entry of ``sorted_components``."""
+    freq, _, _ = sorted_components(dft(context))
+    freq = freq[freq > 0]
+    if not freq.size:
+        return 1
+    return max(1, round(len(context) / int(freq[0])))
+
+
+def _period_rows():
+    rng = np.random.default_rng(65)
+    for n in range(2, 257):
+        t = np.arange(n)
+        yield rng.normal(size=n)
+        yield np.full(n, 2.5)  # DC only: every other bin is residue
+        yield (-1.0) ** t + 0.5  # Nyquist (even n) beside DC
+        # an impulse at 0: every conjugate pair has the same amplitude, 2/n
+        yield (t == 0) * 3.0
+        yield np.cos(2 * np.pi * t / n) + np.cos(2 * np.pi * (n // 2) * t / n)
+        yield np.round(rng.normal(size=n)) + 1e-14 * rng.normal(size=n)
+        w = int(rng.integers(1, n // 2 + 1))
+        yield 3.0 * np.sin(2 * np.pi * w * t / n + rng.uniform(0, 6)) + rng.normal(size=n)
+
+
+def test_dominant_period_matches_the_sorted_components_rule():
+    rows = list(_period_rows())
+    assert len(rows) == 7 * 255
+    assert [dominant_period(r) for r in rows] == [_dominant_period_reference(r) for r in rows]
+    assert dominant_period(np.full(16, 1.0)) == 1
+    # a tie goes to the lower frequency: bin 1, period n
+    assert dominant_period((np.arange(64) == 0) * 1.0) == 64
 
 def _ses_reference(context, alpha, h):
     level = context[0]
@@ -161,6 +197,39 @@ def test_ar_multi_step_recursion():
     forecast = predict(model, context)
     np.testing.assert_allclose(forecast, values[364:404], atol=1e-6)
 
+
+
+
+@pytest.mark.parametrize("order", [0, -1, 8, 9])
+def test_ar_order_outside_one_to_below_context_len_is_rejected(order):
+    with pytest.raises(ValueError, match="ar_order"):
+        ModelConfig(family=Family.AR_LS, horizon=4, context_len=8, ar_order=order)
+    # only AR_LS reads the order
+    ModelConfig(family=Family.SES, horizon=4, context_len=8, ar_order=order)
+
+def _ar_forecast_reference(beta, context, h):
+    """The recursion on a Python list of lags, rebuilt every step."""
+    order = beta.size - 1
+    buf = list(context[-order:][::-1])  # most recent first
+    out = np.empty(h)
+    for i in range(h):
+        nxt = float(np.dot(beta[:-1], buf) + beta[-1])
+        out[i] = nxt
+        buf = [nxt] + buf[:-1]
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 48])
+def test_ar_forecast_matches_the_list_recursion_bit_for_bit(order):
+    rng = np.random.default_rng(66 + order)
+    beta = np.append(rng.normal(size=order) / order, rng.normal())
+    context = rng.normal(size=order + 16).cumsum()
+    before = context.copy()
+    for h in sorted({1, max(1, order // 2), order, 192}):  # h = 1, < order, = order, 192
+        got = _ar_forecast(beta, context, h)
+        assert got.shape == (h,)
+        assert np.ascontiguousarray(got).tobytes() == _ar_forecast_reference(beta, context, h).tobytes()
+    assert context.tobytes() == before.tobytes()
 
 def _row_by_row_reference(windows, order):
     """AR least squares on every lag row of every window, built one row at a time."""
@@ -290,3 +359,35 @@ def test_smoothing_sweeps_match_out_of_place_references_exactly(rows, length):
         holt = _holt_sweep(seqs, alphas, betas)
         for fast, slow in zip(holt, _holt_sweep_reference(seqs, alphas, betas)):
             np.testing.assert_array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("rows, length", [(1, 2), (1, 3), (20, 32), (64, 448)])
+def test_predict_sweeps_skip_scoring_and_keep_the_state_bits(rows, length):
+    rng = np.random.default_rng(rows * 7 + length)
+    seqs = rng.normal(size=(rows, length)).cumsum(axis=1)
+    for alphas, betas in ((SMOOTHING_GRID, SMOOTHING_GRID), (np.array([0.35]), np.array([0.8]))):
+        err, level = _ses_sweep(seqs, alphas, score=False)
+        assert err is None
+        np.testing.assert_array_equal(level, _ses_sweep_reference(seqs, alphas)[1])
+        err, level, trend = _holt_sweep(seqs, alphas, betas, score=False)
+        assert err is None
+        _, ref_level, ref_trend = _holt_sweep_reference(seqs, alphas, betas)
+        np.testing.assert_array_equal(level, ref_level)
+        np.testing.assert_array_equal(trend, ref_trend)
+
+
+def test_predict_runs_the_sweeps_unscored(monkeypatch):
+    from specbench.models import statistical
+
+    scored = []
+    for name in ("_ses_sweep", "_holt_sweep"):
+        sweep = getattr(statistical, name)
+        monkeypatch.setattr(statistical, name, lambda *a, _sweep=sweep, score=True:
+                            scored.append(score) or _sweep(*a, score=score))
+    values = np.sin(np.arange(200.0) / 5)
+    for family in (Family.SES, Family.HOLT):
+        cfg = ModelConfig(family=family, horizon=4, context_len=16)
+        model = fit(cfg, _windows_from_series(values, 16, 4), None, TC)
+        scored.clear()
+        predict(model, values[:16])
+        assert scored == [False]

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
+from specbench import Segment, preprocess, select_series
 from specbench.autodiff import Tape, Tensor, backward, matmul, mean, mul, recording, relu
+from specbench.models import Family, ModelConfig, TrainConfig, fit, predict, statistical
+from specbench.series import Windows
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,6 +38,39 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+
+def _counting(monkeypatch, module, attr):
+    """Replace ``module.attr`` by a wrapper that logs each call."""
+    calls = []
+    inner = getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(attr)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_seasonal_naive_takes_one_traced_dft_per_row(monkeypatch):
+    cfg = ModelConfig(family=Family.SEASONAL_NAIVE, horizon=6, context_len=24)
+    rows = np.sin(np.arange(5 * 24.0)).reshape(5, 24)
+    model = fit(cfg, Windows(rows, rows[:, :6], np.arange(5)), None, TrainConfig(max_steps=1))
+    calls = _counting(monkeypatch, statistical, "dft")
+    assert predict(model, rows).shape == (5, 6)
+    assert len(calls) == 5
+
+
+def test_the_screen_calls_the_traced_adf_and_acf(monkeypatch):
+    # a walk shorter than the in-process head runs where the tracer sees it
+    adf = _counting(monkeypatch, preprocess, "adf_test")
+    acf = _counting(monkeypatch, preprocess, "mean_acf")
+    rng = np.random.default_rng(34)
+    segs = [Segment("noise", i, rng.normal(size=256)) for i in range(3)]
+    assert len(select_series(segs, keep=2, nlags=8)) == 2
+    assert len(acf) == 3 and len(adf) == 2
 
 
 def test_every_traced_op_is_looked_up_somewhere():
