@@ -17,13 +17,15 @@ empty. A tape and its tensors belong to one worker; nothing here is
 shared mutable state apart from the thread-local active-tape stack and
 the process-wide node counter.
 
-``add``, ``mul`` and ``matmul`` also take a constant operand: a numpy
-array or a float in place of a Tensor (one of the two must be a Tensor).
-A constant is not a tape input and gets no gradient; the record lists only
-the tensor operand, and its rule keeps nothing of that operand which only
-the constant's gradient would read (for ``mul``, the constant alone). Masks,
-positional tables, fixed pooling matrices and a network's raw input go in
-this way, so no backward work is spent on them.
+Every binary op (``add``, ``sub``, ``mul``, ``div``, ``matmul``) also
+takes a constant operand: a numpy array or a float in place of a Tensor
+(one of the two must be a Tensor). A constant is not a tape input and gets
+no gradient; the record lists only the tensor operand, and its rule keeps
+nothing of that operand which only the constant's gradient would read (for
+``mul``, the constant alone). Masks, positional tables, fixed pooling
+matrices, loss targets and a network's raw input go in this way, so no
+backward work is spent on them. Tensor sets ``__array_ufunc__ = None``, so
+an array on the left of an operator defers to the Tensor's reflected method.
 """
 from __future__ import annotations
 
@@ -81,8 +83,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-    # Operator sugar. ``add``, ``mul`` and ``matmul`` take scalars and
-    # arrays as constants; ``sub`` and ``div`` lift them to tensors.
+    # Operator sugar; a scalar or array operand is a constant. numpy defers
+    # to the reflected method instead of building an object array.
+    __array_ufunc__ = None
+
     def __add__(self, other):
         return add(self, other)
 
@@ -90,10 +94,10 @@ class Tensor:
         return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _lift(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_lift(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -102,20 +106,16 @@ class Tensor:
         return mul(other, self)
 
     def __truediv__(self, other):
-        return div(self, _lift(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_lift(other), self)
+        return div(other, self)
 
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
 class Tape:
@@ -237,17 +237,13 @@ def _elementwise(forward, x: np.ndarray, y: np.ndarray) -> Tensor:
         raise ShapeMismatch(f"operands {x.shape} and {y.shape}: {exc}") from None
 
 
-def _binary(a: Tensor, b: Tensor, forward, rule) -> Tensor:
-    return _emit(_elementwise(forward, a.data, b.data), (a, b), rule)
-
-
 # -- arithmetic ----------------------------------------------------------------
 
 # Rules close over arrays and shapes, never over a Tensor, so each keeps
-# alive only what its backward reads. Where one operand of add, mul or
-# matmul is a constant, the rule returns the tensor operand's gradient
-# alone and keeps nothing of that operand that only the constant's
-# gradient would read.
+# alive only what its backward reads. Where one operand of a binary op is
+# a constant, the rule returns the tensor operand's gradient alone and
+# keeps nothing of that operand that only the constant's gradient would
+# read.
 
 def add(a, b) -> Tensor:
     x, y = _operands(a, b)
@@ -260,9 +256,15 @@ def add(a, b) -> Tensor:
     return _emit(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.shape, b.shape
-    return _binary(a, b, np.subtract, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+def sub(a, b) -> Tensor:
+    x, y = _operands(a, b)
+    out = _elementwise(np.subtract, x, y)
+    sa, sb = x.shape, y.shape
+    if not isinstance(b, Tensor):
+        return _emit(out, (a,), lambda g: (_unbroadcast(g, sa),))
+    if not isinstance(a, Tensor):
+        return _emit(out, (b,), lambda g: (_unbroadcast(-g, sb),))
+    return _emit(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
@@ -279,14 +281,16 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    x, y = a.data, b.data
-    return _binary(
-        a, b, np.divide,
-        lambda g: (
-            _unbroadcast(g / y, x.shape),
-            _unbroadcast(-g * x / (y * y), y.shape),
-        ),
+def div(a, b) -> Tensor:
+    x, y = _operands(a, b)
+    out = _elementwise(np.divide, x, y)
+    sa, sb = x.shape, y.shape
+    if not isinstance(b, Tensor):
+        return _emit(out, (a,), lambda g: (_unbroadcast(g / y, sa),))
+    if not isinstance(a, Tensor):
+        return _emit(out, (b,), lambda g: (_unbroadcast(-g * x / (y * y), sb),))
+    return _emit(
+        out, (a, b), lambda g: (_unbroadcast(g / y, sa), _unbroadcast(-g * x / (y * y), sb))
     )
 
 

@@ -49,6 +49,10 @@ class DatasetSpec:
             raise ConfigError(f"dataset {self.name!r}: csv kind needs a path")
         if self.k < 1:
             raise ConfigError(f"dataset {self.name!r}: k must be >= 1")
+        if self.n_series < 1:
+            raise ConfigError(f"dataset {self.name!r}: n_series must be >= 1")
+        if self.limit_series < 0:
+            raise ConfigError(f"dataset {self.name!r}: limit_series must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if self.stride < 1:
+            raise ConfigError("stride must be >= 1")
         if not self.datasets or not self.models:
             raise ConfigError("need at least one dataset and one model")
         names = [d.name for d in self.datasets] + [m.name for m in self.models]

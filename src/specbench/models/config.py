@@ -213,8 +213,8 @@ DEFAULT_SEEDS = (1, 5, 10)
 
 
 def encode_field(value) -> str:
-    """Text form of a config field value, as config files, checkpoint
-    headers and run ids write it: an enum as its value, ``None`` as
+    """Text form of a config field value, as config files and run ids
+    write it: an enum as its value, ``None`` as
     ``none``, a tuple comma-joined, a number or string as ``str`` gives it.
     """
     if isinstance(value, Enum):

@@ -1,6 +1,8 @@
 """Training losses, each a differentiable graph whose ``.data`` is the value.
 
-All reduce by mean over the horizon (and batch). The Student-t negative
+Predictions (and the Student-t head's ``mu``, ``sigma``, ``nu``) are
+tensors; the target is a constant operand. All reduce by mean over the
+horizon (and batch). The Student-t negative
 log-likelihood keeps ``sigma > 0`` and ``nu > 2`` by construction (the
 network head maps raw outputs through softplus before they get here);
 its log-gamma terms run through the `lgamma` primitive so the density is
@@ -12,41 +14,38 @@ import math
 
 import numpy as np
 
-from ..autodiff import Tensor, _lift, absval, lgamma, log, mean, mul
+from ..autodiff import Tensor, absval, lgamma, log, mean, mul
 from .config import HUBER_DELTA
 
 __all__ = ["mae_loss", "mse_loss", "huber_loss", "student_t_nll"]
 
 
-def mae_loss(target, pred) -> Tensor:
-    return mean(absval(_lift(pred) - _lift(target)))
+def mae_loss(target, pred: Tensor) -> Tensor:
+    return mean(absval(pred - target))
 
 
-def mse_loss(target, pred) -> Tensor:
-    err = _lift(pred) - _lift(target)
+def mse_loss(target, pred: Tensor) -> Tensor:
+    err = pred - target
     return mean(mul(err, err))
 
 
-def huber_loss(target, pred, delta: float = HUBER_DELTA) -> Tensor:
+def huber_loss(target, pred: Tensor, delta: float = HUBER_DELTA) -> Tensor:
     """Quadratic within ``delta`` of zero residual, linear beyond it.
 
     The branch mask is piecewise-constant in the residual, so treating it
     as data keeps the gradient exact almost everywhere.
     """
-    target_t, pred_t = _lift(target), _lift(pred)
-    resid = pred_t - target_t
+    resid = pred - target
     absres = absval(resid)
-    small = (np.abs(pred_t.data - target_t.data) <= delta).astype(np.float64)
+    small = (absres.data <= delta).astype(np.float64)
     quadratic = 0.5 * mul(resid, resid)
     linear = delta * (absres - 0.5 * delta)
     return mean(mul(small, quadratic) + mul(1.0 - small, linear))
 
 
-def student_t_nll(target, mu, sigma, nu) -> Tensor:
+def student_t_nll(target, mu: Tensor, sigma: Tensor, nu: Tensor) -> Tensor:
     """Mean negative log density of a location-scale Student-t."""
-    y = _lift(target)
-    mu, sigma, nu = _lift(mu), _lift(sigma), _lift(nu)
-    z = (y - mu) / sigma
+    z = (target - mu) / sigma
     half_nu = 0.5 * nu
     nll = (
         lgamma(half_nu)

@@ -134,12 +134,16 @@ class _Block:
         _linear(rng, f"{prefix}.backcast", params, cfg.nbeats_hidden, cfg.context_len)
         _linear(rng, f"{prefix}.forecast", params, cfg.nbeats_hidden, theta_dim)
 
-    def run(self, params, x: Tensor) -> tuple[Tensor, Tensor]:
+    def run(self, params, x, backcast: bool) -> tuple[Tensor | None, Tensor]:
+        """(backcast, forecast) of ``x``; the backcast is None when not asked
+        for, as for the last block, whose residual no block reads. That block
+        still declares its backcast, so the init stream and the parameter
+        count stay those of the full stack."""
         h = x
         for i in range(self.depth):
             h = relu(_apply(params, f"{self.prefix}.fc{i}", h))
         return (
-            _apply(params, f"{self.prefix}.backcast", h),
+            _apply(params, f"{self.prefix}.backcast", h) if backcast else None,
             _apply(params, f"{self.prefix}.forecast", h),
         )
 
@@ -157,14 +161,15 @@ class NBeatsLite:
         ]
 
     def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
-        # the first block reads the scaled input as a constant
-        block_input = scaled
-        residual = Tensor(scaled)
+        # the residual is the scaled input, a constant, until the first
+        # backcast is subtracted from it
+        residual = scaled
         total: Tensor | None = None
-        for block in self.blocks:
-            backcast, forecast = block.run(self.params, block_input)
-            residual = residual - backcast
-            block_input = residual
+        last = len(self.blocks) - 1
+        for i, block in enumerate(self.blocks):
+            backcast, forecast = block.run(self.params, residual, backcast=i < last)
+            if i < last:
+                residual = residual - backcast
             total = forecast if total is None else total + forecast
         return total
 
@@ -192,12 +197,15 @@ class NHitsLite:
             )
 
     def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
-        residual = Tensor(scaled)
+        # as in NBeatsLite; the first pool is a product of two constants
+        residual = scaled
         total: Tensor | None = None
-        for block, pool, interp in zip(self.blocks, self.pools, self.interps):
-            pooled = matmul(residual, pool)
-            backcast, theta = block.run(self.params, pooled)
-            residual = residual - backcast
+        last = len(self.blocks) - 1
+        for i, (block, pool, interp) in enumerate(zip(self.blocks, self.pools, self.interps)):
+            pooled = scaled @ pool if i == 0 else matmul(residual, pool)
+            backcast, theta = block.run(self.params, pooled, backcast=i < last)
+            if i < last:
+                residual = residual - backcast
             forecast = matmul(theta, interp)
             total = forecast if total is None else total + forecast
         return total

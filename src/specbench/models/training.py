@@ -23,7 +23,7 @@ from .networks import build_network
 from .scalers import apply_scaler, fit_scaler, invert_scaler
 from .statistical import fit_statistical, predict_statistical
 
-__all__ = ["TrainedModel", "fit", "load_network", "predict", "predict_quantiles", "embed"]
+__all__ = ["TrainedModel", "fit", "predict", "embed"]
 
 
 @dataclass
@@ -31,7 +31,6 @@ class TrainedModel:
     """A fitted forecaster: config, trained network (None if statistical), extra state, history."""
 
     config: ModelConfig
-    train_config: TrainConfig
     network: object = None
     extra: dict[str, np.ndarray] = field(default_factory=dict)
     history: list[tuple[int, float, float]] = field(default_factory=list)
@@ -42,29 +41,6 @@ class TrainedModel:
         families. The arrays are the network's own: an in-place edit reaches the forecast."""
         tensors = self.network.params if self.network is not None else {}
         return MappingProxyType({name: t.data for name, t in tensors.items()})
-
-
-def _init_network(config: ModelConfig, tc: TrainConfig):
-    return build_network(config, rng_stream(tc.seed, f"init/{config.family.value}"))
-
-
-def load_network(config: ModelConfig, tc: TrainConfig, params: dict[str, np.ndarray]):
-    """The network :func:`fit` builds, holding ``params`` (None if statistical). Raises
-    ValueError naming every missing, unknown or misshaped parameter."""
-    net = None if config.is_statistical else _init_network(config, tc)
-    tensors = net.params if net is not None else {}
-    want = {name: t.shape for name, t in tensors.items()}
-    have = {name: np.shape(arr) for name, arr in params.items()}
-    if have != want:
-        misshaped = sorted(n for n in want.keys() & have.keys() if want[n] != have[n])
-        raise ValueError(
-            f"stored parameters do not match the network: missing "
-            f"{sorted(want.keys() - have.keys())}, unknown "
-            f"{sorted(have.keys() - want.keys())}, misshaped {misshaped}"
-        )
-    for name, tensor in tensors.items():
-        tensor.data = np.ascontiguousarray(params[name], dtype=np.float64)
-    return net
 
 
 def _check_shapes(cfg: ModelConfig, windows: Windows, label: str) -> None:
@@ -107,9 +83,9 @@ def fit(config: ModelConfig, train: Windows, valid: Windows | None,
 
     if config.is_statistical:
         extra = fit_statistical(config, train)
-        return TrainedModel(config=config, train_config=tc, extra=extra)
+        return TrainedModel(config=config, extra=extra)
 
-    net = _init_network(config, tc)
+    net = build_network(config, rng_stream(tc.seed, f"init/{config.family.value}"))
     batch_rng = rng_stream(tc.seed, "batches")
     dropout_rng = rng_stream(tc.seed, "dropout")
     state = AdamState()
@@ -157,7 +133,7 @@ def fit(config: ModelConfig, train: Windows, valid: Windows | None,
     # the last step always checks, so ``best`` holds the best check's arrays
     for name, arr in best.items():
         net.params[name].data = arr
-    return TrainedModel(config=config, train_config=tc, network=net, history=history)
+    return TrainedModel(config=config, network=net, history=history)
 
 
 def _as_rows(model: TrainedModel, context: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -187,25 +163,6 @@ def predict(model: TrainedModel, context: np.ndarray) -> np.ndarray:
             out = out[0]
         out = invert_scaler(state, out.data)
     return out[0] if single else out
-
-
-def predict_quantiles(
-    model: TrainedModel, context: np.ndarray, qs: tuple[float, ...] = (0.8, 0.9)
-) -> dict[float, np.ndarray]:
-    """Quantile forecasts from the Student-t head (emitted, never scored),
-    shaped as :func:`predict` shapes its forecasts."""
-    if model.network is None or model.config.loss is not LossKind.STUDENT_T:
-        raise UnsupportedFamily("quantiles require a network with the STUDENT_T loss head")
-    from scipy import stats
-
-    rows, single = _as_rows(model, context)
-    scaled, state = _scaled(model, rows)
-    mu, sigma, nu = model.network.forward(scaled)
-    out = {}
-    for q in qs:
-        quantile = invert_scaler(state, mu.data + sigma.data * stats.t.ppf(q, df=nu.data))
-        out[q] = quantile[0] if single else quantile
-    return out
 
 
 def embed(model: TrainedModel, context: np.ndarray) -> np.ndarray:

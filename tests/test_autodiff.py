@@ -304,7 +304,8 @@ def test_no_rule_closes_over_a_tensor():
     c = rng.normal(size=(2, 3, 4))
     for op, args in (
         (add, (x, c)), (add, (c, x)), (mul, (x, c)), (mul, (c, x)), (mul, (x, 2.0)),
-        (mul, (2.0, x)), (matmul, (x, w.data)), (matmul, (c, w)),
+        (mul, (2.0, x)), (sub, (x, c)), (sub, (c, x)), (sub, (2.0, x)), (div, (x, c)),
+        (div, (x, 2.0)), (matmul, (x, w.data)), (matmul, (c, w)),
         (matmul, (x, c.transpose(0, 2, 1))), (matmul, (c.transpose(0, 2, 1), x)),
     ):
         tape = Tape()
@@ -402,6 +403,14 @@ _CONSTANT_CASES = [
     (matmul, (4, 3), np.linspace(-1.0, 1.0, 40).reshape(2, 5, 4), False),
     (matmul, (2, 5, 4), np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3), True),
     (matmul, (3, 4, 6), np.linspace(-1.0, 1.0, 40).reshape(2, 1, 5, 4), False),
+    (sub, (4, 3), np.linspace(-1.0, 1.0, 3), True),
+    (sub, (4, 1), np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3), False),
+    (sub, (4, 3), 0.5, True),
+    (sub, (4, 3), 1.0, False),
+    (div, (4, 3), np.linspace(0.5, 1.5, 3), True),
+    (div, (4, 1), np.linspace(-1.0, 1.0, 24).reshape(2, 4, 3), False),
+    (div, (4, 3), 0.25, True),
+    (div, (4, 3), -2.0, False),
 ]
 
 
@@ -440,6 +449,17 @@ def test_constant_operand_shape_mismatch_names_both_shapes(op, tensor_shape, con
     with pytest.raises(ShapeMismatch) as info:
         op(x, c) if second else op(c, x)
     assert str(tensor_shape) in str(info.value) and str(constant_shape) in str(info.value)
+
+
+def test_an_array_on_the_left_defers_to_the_tensor():
+    x = Tensor(np.array([1.0, 2.0, 4.0]))
+    c = np.array([3.0, 5.0, 8.0])
+    for got, want in (
+        (c + x, add(c, x)), (c - x, sub(c, x)), (c * x, mul(c, x)), (c / x, div(c, x)),
+        (np.float64(2.0) - x, sub(2.0, x)),
+    ):
+        assert isinstance(got, Tensor)
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_two_constant_operands_are_rejected():

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +52,12 @@ family = NLINEAR
 """
 
 
+@pytest.mark.parametrize("module", ["specbench", "specbench.models", "specbench.harness"])
+def test_every_exported_name_resolves(module):
+    package = importlib.import_module(module)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+
+
 def test_parse_config_round():
     cfg = parse_config(CFG_TEXT)
     assert cfg.task.context_len == 48 and cfg.task.horizon == 16
@@ -95,11 +102,22 @@ size = TINY
         "[run]\nmax_steps = 5\n",  # second [run] section
         "[model \"m\"]\nfamily = NLINEAR\nhorizon = 8\n",  # the task sets it
         "[model \"m\"]\nfamily = MLP\ncustom_dims = 8,16\n",  # needs four values
+        # a bad value in an existing section: (text, its replacement, message)
+        pytest.param(("n_series = 2", "n_series = 0", "n_series must be >= 1"),
+                     id="n_series=0"),
+        pytest.param(("n_series = 2", "n_series = 2\nlimit_series = -1",
+                      "limit_series must be >= 0"), id="limit_series=-1"),
+        pytest.param(("k = 2", "k = 2\nstride = 0", "stride must be >= 1"), id="stride=0"),
     ],
 )
 def test_parse_config_rejects_malformed(mutation):
-    with pytest.raises(ConfigError):
-        parse_config(CFG_TEXT + mutation)
+    if isinstance(mutation, str):
+        text, match = CFG_TEXT + mutation, None
+    else:
+        old, new, match = mutation
+        text = CFG_TEXT.replace(old, new)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
 
 
 @pytest.mark.parametrize("section", ["task", "run"])

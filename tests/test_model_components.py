@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specbench.autodiff import Tensor
 from specbench.errors import PatchTooLong
 from specbench.models import (
     Attention,
@@ -149,22 +150,25 @@ def test_positional_bias_keys():
 # -- losses ---------------------------------------------------------------------
 
 
+# a loss takes the prediction as a Tensor and the target as a constant
+
+
 def test_mae_mse_values():
-    assert mae_loss([1.0, 2, 3], [1.0, 2, 3]).data.item() == 0.0
-    assert mae_loss([1.0, 2, 3], [2.0, 4, 0]).data.item() == pytest.approx(2.0)
-    assert mse_loss([0.0, 0], [1.0, -1]).data.item() == pytest.approx(1.0)
+    assert mae_loss([1.0, 2, 3], Tensor([1.0, 2, 3])).data.item() == 0.0
+    assert mae_loss([1.0, 2, 3], Tensor([2.0, 4, 0])).data.item() == pytest.approx(2.0)
+    assert mse_loss([0.0, 0], Tensor([1.0, -1])).data.item() == pytest.approx(1.0)
 
 
 def test_huber_value_at_half():
-    assert huber_loss([0.0], [0.5]).data.item() == pytest.approx(0.125)
+    assert huber_loss([0.0], Tensor([0.5])).data.item() == pytest.approx(0.125)
     # linear branch: residual 2, delta 1 -> 1 * (2 - 0.5) = 1.5
-    assert huber_loss([0.0], [2.0]).data.item() == pytest.approx(1.5)
+    assert huber_loss([0.0], Tensor([2.0])).data.item() == pytest.approx(1.5)
 
 
 def test_student_t_nll_reference_point():
     # y = mu, sigma = 1, nu = 3: -log Gamma(2) + log sqrt(3 pi) + log Gamma(1.5)
     expected = -math.lgamma(2.0) + math.log(math.sqrt(3 * math.pi)) + math.lgamma(1.5)
-    got = student_t_nll([0.0], np.array([0.0]), np.array([1.0]), np.array([3.0])).data.item()
+    got = student_t_nll([0.0], Tensor([0.0]), Tensor([1.0]), Tensor([3.0])).data.item()
     assert got == pytest.approx(expected, abs=1e-10)
 
 
@@ -174,7 +178,7 @@ def test_huber_loss_against_direct_formula():
     yhat = y + rng.normal(size=32) * 1.5
     r = np.abs(yhat - y)
     direct = np.where(r <= 1.0, 0.5 * r * r, r - 0.5).mean()
-    assert huber_loss(y, yhat).data.item() == pytest.approx(direct, abs=1e-12)
+    assert huber_loss(y, Tensor(yhat)).data.item() == pytest.approx(direct, abs=1e-12)
 
 
 # -- decomposition ----------------------------------------------------------------

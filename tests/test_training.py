@@ -16,14 +16,14 @@ from specbench.models import (
     Scaler,
     Tokenization,
     TrainConfig,
+    apply_scaler,
     embed,
     fit,
-    load_checkpoint,
+    fit_scaler,
+    invert_scaler,
     predict,
-    predict_quantiles,
-    save_checkpoint,
 )
-from specbench.models import training
+from specbench.models import networks, training
 from specbench.models.networks import build_network
 from specbench.models.losses import mae_loss, mse_loss, huber_loss, student_t_nll
 from specbench.optim import rng_stream
@@ -190,6 +190,26 @@ def test_initial_parameters_are_frozen(cfg, expected):
     assert digest.hexdigest() == expected
 
 
+@pytest.mark.parametrize("family", [Family.NBEATS_LITE, Family.NHITS_LITE])
+def test_residual_stack_skips_the_last_blocks_backcast(monkeypatch, family):
+    # no block reads the residual after the last one; its backcast keeps its
+    # parameters, so the init streams and the parameter count do not move
+    applied = []
+    inner = networks._apply
+
+    def spy(params, name, x):
+        applied.append(name)
+        return inner(params, name, x)
+
+    monkeypatch.setattr(networks, "_apply", spy)
+    cfg = _tiny_cfg(family, nbeats_blocks=3, nhits_pool_rates=(4, 2, 1))
+    net = build_network(cfg, rng_stream(1, "spy"))
+    net.forward(np.random.default_rng(2).normal(size=(2, cfg.context_len)))
+    assert [n for n in applied if n.endswith("backcast")] == ["block0.backcast", "block1.backcast"]
+    assert [n for n in applied if n.endswith("forecast")] == [f"block{i}.forecast" for i in range(3)]
+    assert {"block2.backcast.w", "block2.backcast.b"} <= net.params.keys()
+
+
 def test_fit_determinism_bit_identical():
     train = _sine_windows(24, 16, 4, seed=1)
     valid = _sine_windows(4, 16, 4, seed=2)
@@ -330,14 +350,17 @@ def test_embed_shape_and_determinism():
         embed(fit(_tiny_cfg(Family.NLINEAR), train, take(train, np.s_[:2]), TrainConfig(max_steps=5)), train.contexts[0])
 
 
-def test_student_t_quantiles_ordered():
+def test_student_t_predict_is_the_location_head():
     train = _sine_windows(16, 16, 4, seed=12, noise=0.2)
     cfg = _tiny_transformer(loss=LossKind.STUDENT_T)
     model = fit(cfg, train, take(train, np.s_[:2]), TrainConfig(max_steps=10, val_check_every=5, windows_batch=4, seed=1))
-    qs = predict_quantiles(model, train.contexts[0], qs=(0.1, 0.5, 0.9))
-    assert np.all(qs[0.1] <= qs[0.5]) and np.all(qs[0.5] <= qs[0.9])
-    point = predict(model, train.contexts[0])
-    np.testing.assert_allclose(qs[0.5], point, atol=1e-9)
+    state = fit_scaler(cfg.scaler, train.contexts)
+    mu, _, _ = model.network.forward(apply_scaler(state, train.contexts))
+    np.testing.assert_array_equal(predict(model, train.contexts), invert_scaler(state, mu.data))
+    # a statistical family has no loss head: no network, no parameters
+    holt = fit(_tiny_cfg(Family.HOLT, loss=LossKind.STUDENT_T), train, None, TrainConfig())
+    assert holt.network is None and holt.params == {}
+    assert predict(holt, train.contexts).shape == (len(train), 4)
 
 
 def test_identical_params_identical_embeddings():
@@ -374,11 +397,6 @@ def test_predict_on_rows_matches_one_context_at_a_time(cfg):
         np.testing.assert_allclose(
             embedded, np.stack([embed(model, c) for c in train.contexts]), rtol=1e-12, atol=1e-12
         )
-        quantiles = predict_quantiles(model, train.contexts, qs=(0.9,))[0.9]
-        np.testing.assert_allclose(
-            quantiles, np.stack([predict_quantiles(model, c, qs=(0.9,))[0.9] for c in train.contexts]),
-            rtol=1e-12, atol=1e-12,
-        )
 
 
 def test_params_is_a_read_only_view_of_the_forecasting_network():
@@ -393,7 +411,7 @@ def test_params_is_a_read_only_view_of_the_forecasting_network():
     assert not np.array_equal(predict(model, train.contexts), before)
 
 
-def test_forecasts_use_the_trained_network_without_rebuilding_it(tmp_path, monkeypatch):
+def test_forecasts_use_the_trained_network_without_rebuilding_it(monkeypatch):
     builds = []
 
     def counting_build_network(cfg, rng):
@@ -407,18 +425,5 @@ def test_forecasts_use_the_trained_network_without_rebuilding_it(tmp_path, monke
     assert len(builds) == 1
     predict(model, train.contexts)
     embed(model, train.contexts)
-    predict_quantiles(model, train.contexts)
     assert len(builds) == 1
-    save_checkpoint(model, tmp_path / "m.ckpt")
-    loaded = load_checkpoint(tmp_path / "m.ckpt")
-    assert len(builds) == 2
-    np.testing.assert_array_equal(predict(loaded, train.contexts), predict(model, train.contexts))
-    assert len(builds) == 2
 
-
-def test_statistical_student_t_has_no_quantiles():
-    train = _sine_windows(12, 16, 4, seed=17)
-    model = fit(_tiny_cfg(Family.HOLT, loss=LossKind.STUDENT_T), train, None, TrainConfig())
-    assert model.network is None and model.params == {}
-    with pytest.raises(UnsupportedFamily):
-        predict_quantiles(model, train.contexts[0])
