@@ -154,8 +154,9 @@ def resolve_dataset(spec: DatasetSpec) -> list[TimeSeries]:
 
 @dataclass(frozen=True)
 class SplitDataset:
-    """The windows one series gives a run: ``train`` and ``valid`` rows of
-    every training source, then ``test`` rows of the series itself."""
+    """The windows one series gives a run: ``train`` and ``valid`` windows
+    over every training source's values, then ``test`` windows over the
+    series itself."""
 
     train: Windows
     valid: Windows
@@ -177,25 +178,11 @@ def split_windows(
     from ``dec``, the series' :func:`dft` (computed if not given). Each
     source gives train windows over ``[0, T - h)`` and validation windows
     over ``[T - h - l, T)``, so the last horizon before ``T`` is held out
-    of training. Test windows are the series' own over ``[T - l, n)``,
-    anchored at ``t >= T``. :func:`make_windows` raises RangeTooShort
-    unless ``T >= l + 2h`` and ``n >= T + h``.
+    of training; each set holds its sources' values end to end, once.
+    Test windows are the series' own over ``[T - l, n)``, anchored at
+    ``t >= T``. :func:`make_windows` raises RangeTooShort unless
+    ``T >= l + 2h`` and ``n >= T + h``.
     """
-    train, valid, test = _source_windows(series, task, split_point, stride, dec, k)
-    return SplitDataset(Windows.concat(train), Windows.concat(valid), test)
-
-
-def _source_windows(
-    series: TimeSeries,
-    task: ForecastTask,
-    split_point: int,
-    stride: int,
-    dec: SpectralDecomposition | None,
-    k: int | None,
-) -> tuple[list[Windows], list[Windows], Windows]:
-    """:func:`split_windows` before it concatenates: each source's train and
-    valid windows, views of the source's values, and the test windows.
-    A run pools the views of all its series with one copy."""
     l, h = task.context_len, task.horizon
     if k is None:
         sources = [series]
@@ -203,12 +190,10 @@ def _source_windows(
         dec = dec if dec is not None else dft(series.values)
         basis = basis_series(top_k_components(dec, k), dec.n, (0, len(series)))
         sources = [TimeSeries(series.id, row) for row in basis]
-    train, valid = [], []
-    for source in sources:
-        train.append(make_windows(source, task, stride, (0, split_point - h)))
-        valid.append(make_windows(source, task, stride, (split_point - h - l, split_point)))
+    train = [make_windows(s, task, stride, (0, split_point - h)) for s in sources]
+    valid = [make_windows(s, task, stride, (split_point - h - l, split_point)) for s in sources]
     test = make_windows(series, task, stride, (split_point - l, len(series)))
-    return train, valid, test
+    return SplitDataset(Windows.concat(train), Windows.concat(valid), test)
 
 
 def execute_run(
@@ -231,36 +216,34 @@ def execute_run(
         series_list = resolve_dataset(spec)
 
         k = spec.k if mode == "OOD" else None
-        train: list[Windows] = []
-        valid: list[Windows] = []
-        tests, decs = [], []
+        splits, decs = [], []
         for series in series_list:
             T = cfg.split_point if cfg.split_point is not None else len(series) - task.horizon
             decs.append(dft(series.values))
-            tr, va, test = _source_windows(series, task, T, cfg.stride, decs[-1], k)
-            train += tr
-            valid += va
-            tests.append(test)
+            splits.append(split_windows(series, task, T, cfg.stride, decs[-1], k))
 
         tc = dataclasses.replace(cfg.train, seed=seed)
-        model = fit(model_cfg, Windows.concat(train), Windows.concat(valid), tc)
+        train = Windows.concat([split.train for split in splits])
+        valid = Windows.concat([split.valid for split in splits])
+        model = fit(model_cfg, train, valid, tc)
 
         example: dict = {}
-        for series, test, dec in zip(series_list, tests, decs):
-            forecasts = predict(model, test.contexts)
+        for series, test, dec in zip(series_list, [split.test for split in splits], decs):
+            contexts, targets = test.contexts, test.targets
+            forecasts = predict(model, contexts)
             if not example:
                 example = {
                     "series": series.id,
                     "anchor": int(test.anchors[0]),
-                    "context": test.contexts[0].tolist(),
-                    "target": test.targets[0].tolist(),
+                    "context": contexts[0].tolist(),
+                    "target": targets[0].tolist(),
                     "forecast": forecasts[0].tolist(),
                 }
             result.per_series_mae.append(float(np.mean([
-                mae(y, yhat) for y, yhat in zip(test.targets, forecasts)
+                mae(y, yhat) for y, yhat in zip(targets, forecasts)
             ])))
             bounds = np.stack([test.anchors, test.anchors + task.horizon], axis=1)
-            reports = basis_win_report(test.targets, forecasts, dec, bounds)
+            reports = basis_win_report(targets, forecasts, dec, bounds)
             result.per_series_k_max.append(float(np.mean([r.k_max for r in reports])))
 
         result.n_series = len(series_list)

@@ -26,20 +26,18 @@ SMOOTHING_GRID = np.round(np.arange(0.05, 0.951, 0.05), 2)
 
 # Fits use evenly spaced windows, which keeps them deterministic. Grid
 # fitting caps their number for desk-scale runtime. AR least squares takes
-# as many as hold _MAX_AR_ROWS lag rows, repeats included; it solves on the
-# distinct rows, so the cap no longer sets its cost, but it does set how
-# much each row weighs.
+# as many as hold _MAX_AR_ROWS lag rows, repeats included. It solves each
+# source position once, weighted by the windows that hold it, so the cap
+# does not set its cost, but it does set how much each row weighs.
 _MAX_FIT_WINDOWS = 64
 _MAX_AR_ROWS = 200_000
 
 
-def _sequences(train: Windows, cap: int = _MAX_FIT_WINDOWS) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``cap`` evenly spaced windows, each as one context+target row,
-    and their anchors."""
+def _evenly_spaced(train: Windows, cap: int = _MAX_FIT_WINDOWS) -> np.ndarray:
+    """Indices of up to ``cap`` evenly spaced windows of ``train``."""
     if not train:
         raise EmptyTrainSet("statistical fit needs at least one window")
-    idx = np.unique(np.linspace(0, len(train) - 1, min(cap, len(train))).astype(int))
-    return np.concatenate([train.contexts[idx], train.targets[idx]], axis=1), train.anchors[idx]
+    return np.unique(np.linspace(0, len(train) - 1, min(cap, len(train))).astype(int))
 
 
 def dominant_period(context: np.ndarray) -> int:
@@ -122,44 +120,33 @@ def _fit_ar(train: Windows, order: int) -> np.ndarray:
     """Least-squares AR(order) with intercept over every lag row of the
     selected windows, solved on the distinct rows.
 
-    Consecutive windows whose anchors differ by ``0 < d < l+h`` and whose
-    overlapping values are bit-equal are stitched into one segment; a lag
-    row that ``m`` windows share enters once, with row and target scaled by
+    Lag row ``p`` predicts ``train.values[p]`` from the ``order`` values
+    before it. A row that ``m`` selected windows share, because they
+    overlap in one source, enters once, with row and target scaled by
     sqrt(m). That has the normal equations of the full design, so the
     cutoff for small singular values is the full design's as well.
     """
-    seq_len = train.contexts.shape[1] + train.targets.shape[1]
-    seqs, anchors = _sequences(train, cap=max(1, _MAX_AR_ROWS // max(1, seq_len - order)))
-    count, length = seqs.shape
+    length = train.l + train.h
     steps = length - order
-    # link[w]: window w+1 continues window w's segment
-    gaps = np.diff(anchors)
-    link = (gaps > 0) & (gaps < length)
-    bits = seqs.view(np.int64)
-    for d in np.unique(gaps[link]):
-        pairs = np.flatnonzero(link & (gaps == d))
-        link[pairs] = (bits[pairs, d:] == bits[pairs + 1, : length - d]).all(axis=1)
-    # segment positions: window w fills buffer[start[w] : start[w] + length]
-    start = np.concatenate([[0], np.cumsum(np.where(link, gaps, length))])
-    buffer = np.empty(start[-1] + length)
-    buffer[start[:, None] + np.arange(length)] = seqs
+    starts = train.starts[_evenly_spaced(train, max(1, _MAX_AR_ROWS // max(1, steps)))]
+    values = train.values
     # mult[p]: how many windows hold lag row p (a difference array)
-    cover = np.bincount(start + order, minlength=buffer.size + 1)
-    cover -= np.bincount(start + length, minlength=buffer.size + 1)
+    cover = np.bincount(starts + order, minlength=values.size + 1)
+    cover -= np.bincount(starts + length, minlength=values.size + 1)
     mult = np.cumsum(cover[:-1])
     rows = np.flatnonzero(mult)
     weight = np.sqrt(mult[rows])
-    # row p of the design: buffer[p-1], ..., buffer[p-order], then 1; filled
+    # row p of the design: values[p-1], ..., values[p-order], then 1; filled
     # a column at a time, as one gather would copy the whole design again
     X = np.empty((rows.size, order + 1))
     for lag in range(order):
-        X[:, lag] = buffer[rows - 1 - lag]
+        X[:, lag] = values[rows - 1 - lag]
     X[:, order] = 1.0
     X *= weight[:, None]
     # lstsq's default cutoff would scale with the distinct rows; keep the
     # full design's, eps * max(its rows, columns)
-    rcond = np.finfo(np.float64).eps * max(count * steps, order + 1)
-    beta, *_ = np.linalg.lstsq(X, buffer[rows] * weight, rcond=rcond)
+    rcond = np.finfo(np.float64).eps * max(starts.size * steps, order + 1)
+    beta, *_ = np.linalg.lstsq(X, values[rows] * weight, rcond=rcond)
     return beta  # (order lags, most recent first) then intercept
 
 
@@ -168,10 +155,11 @@ def fit_statistical(config: ModelConfig, train: Windows) -> dict[str, np.ndarray
     if family in (Family.NAIVE_LAST, Family.SEASONAL_NAIVE):
         return {}
     if family is Family.SES:
-        errors, _ = _ses_sweep(_sequences(train)[0], SMOOTHING_GRID)
+        errors, _ = _ses_sweep(train.rows(_evenly_spaced(train)), SMOOTHING_GRID)
         return {"alpha": np.array([SMOOTHING_GRID[int(np.argmin(errors))]])}
     if family is Family.HOLT:
-        errors, _, _ = _holt_sweep(_sequences(train)[0], SMOOTHING_GRID, SMOOTHING_GRID)
+        seqs = train.rows(_evenly_spaced(train))
+        errors, _, _ = _holt_sweep(seqs, SMOOTHING_GRID, SMOOTHING_GRID)
         best = int(np.argmin(errors))
         alpha = SMOOTHING_GRID[best // len(SMOOTHING_GRID)]
         beta = SMOOTHING_GRID[best % len(SMOOTHING_GRID)]

@@ -44,7 +44,7 @@ class TrainedModel:
 
 
 def _check_shapes(cfg: ModelConfig, windows: Windows, label: str) -> None:
-    shape = (windows.contexts.shape[1], windows.targets.shape[1])
+    shape = (windows.l, windows.h)
     if shape != (cfg.context_len, cfg.horizon):
         raise ValueError(f"{label} window shapes {shape} do not match config "
                          f"({cfg.context_len}, {cfg.horizon})")
@@ -101,7 +101,7 @@ def fit(config: ModelConfig, train: Windows, valid: Windows | None,
         tape = Tape()
         with recording(tape):
             loss = _batch_loss(
-                net, config, train.contexts[idx], train.targets[idx],
+                net, config, train.rows(idx, hi=train.l), train.rows(idx, lo=train.l),
                 train_rng=dropout_rng, dropout=tc.dropout,
             )
         train_loss = loss.data.item()

@@ -57,35 +57,62 @@ class ForecastTask:
 
 @dataclass(frozen=True)
 class Windows:
-    """Supervised examples as rows: ``contexts[i]`` ends at ``anchors[i]``
-    and ``targets[i]`` starts there. Shapes (n, l), (n, h) and (n,)."""
+    """Supervised examples as starts into their sources' values, joined end
+    to end: window ``i`` is ``values[starts[i] : starts[i] + l + h]``, its
+    context then its target, and its target starts at ``anchors[i]`` in
+    its own source. Overlapping windows share their source's samples."""
 
-    contexts: np.ndarray
-    targets: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
     anchors: np.ndarray
+    l: int
+    h: int
 
     def __post_init__(self):
-        for name, dtype in (("contexts", float), ("targets", float), ("anchors", np.int64)):
+        for name, dtype in (("values", np.float64), ("starts", np.int64), ("anchors", np.int64)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        contexts, targets, anchors = self.contexts, self.targets, self.anchors
-        if not (contexts.ndim == targets.ndim == 2 and anchors.ndim == 1
-                and len(contexts) == len(targets) == len(anchors)):
-            shapes = f"{contexts.shape}, {targets.shape}, {anchors.shape}"
-            raise ValueError(f"Windows shapes {shapes} are not (n, l), (n, h), (n,)")
-        if not (np.isfinite(contexts).all() and np.isfinite(targets).all()):
+        values, starts, anchors = self.values, self.starts, self.anchors
+        if self.l <= 0 or self.h <= 0:
+            raise ValueError(f"Windows need positive l and h, got {self.l} and {self.h}")
+        if not (values.ndim == starts.ndim == anchors.ndim == 1 and starts.size == anchors.size):
+            shapes = f"{values.shape}, {starts.shape}, {anchors.shape}"
+            raise ValueError(f"Windows shapes {shapes} are not (m,), (n,), (n,)")
+        if starts.size and (starts.min() < 0 or starts.max() + self.l + self.h > values.size):
+            raise ValueError(f"Windows starts run outside values of length {values.size}")
+        if not np.isfinite(values).all():
             raise ValueError("Windows values must be finite")
 
     def __len__(self) -> int:
-        return self.anchors.size
+        return self.starts.size
+
+    def rows(self, idx=slice(None), lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Samples ``[lo, hi)`` (default: all ``l + h``) of windows ``idx``,
+        counted from their starts, as a new contiguous (n, hi - lo) array."""
+        hi = self.l + self.h if hi is None else hi
+        view = np.lib.stride_tricks.sliding_window_view(self.values, hi - lo)
+        return view[self.starts[idx] + lo]
+
+    @property
+    def contexts(self) -> np.ndarray:
+        """Every window's context, (n, l): a copy, meant for small sets."""
+        return self.rows(hi=self.l)
+
+    @property
+    def targets(self) -> np.ndarray:
+        """Every window's target, (n, h): a copy, meant for small sets."""
+        return self.rows(lo=self.l)
 
     @staticmethod
     def concat(parts: list[Windows]) -> Windows:
-        """One window set holding the rows of ``parts`` in order."""
-        return Windows(
-            np.concatenate([w.contexts for w in parts]),
-            np.concatenate([w.targets for w in parts]),
-            np.concatenate([w.anchors for w in parts]),
-        )
+        """One window set holding the windows of ``parts`` in order, over
+        their values joined end to end."""
+        if len({(w.l, w.h) for w in parts}) != 1:
+            raise ValueError("Windows.concat needs parts of one context length and horizon")
+        offsets = np.cumsum([0] + [w.values.size for w in parts[:-1]])
+        starts = np.concatenate([w.starts + offset for w, offset in zip(parts, offsets)])
+        values = np.concatenate([w.values for w in parts])
+        anchors = np.concatenate([w.anchors for w in parts])
+        return Windows(values, starts, anchors, parts[0].l, parts[0].h)
 
 
 def make_windows(
@@ -94,7 +121,7 @@ def make_windows(
     stride: int = 1,
     bounds: tuple[int, int] | None = None,
 ) -> Windows:
-    """Slide (context, target) windows over ``series.values[lo:hi]``.
+    """Slide windows over ``series.values[lo:hi]``, as starts into its values.
 
     Anchors run ``lo + l, lo + l + stride, ...`` subject to ``t + h <= hi``,
     giving ``floor((hi - lo - l - h) / stride) + 1`` windows.
@@ -115,5 +142,5 @@ def make_windows(
         raise RangeTooShort(
             f"range [{lo}, {hi}) holds {hi - lo} samples; need at least l+h = {l + h}"
         )
-    rows = np.lib.stride_tricks.sliding_window_view(series.values[lo:hi], l + h)[::stride]
-    return Windows(rows[:, :l], rows[:, l:], np.arange(lo + l, hi - h + 1, stride))
+    starts = np.arange(lo, hi - l - h + 1, stride)
+    return Windows(series.values, starts, starts + l, l, h)

@@ -13,14 +13,17 @@ from specbench.series import Windows
 
 
 def stack_windows(rows) -> Windows:
-    """A window set from a list of (context, target, anchor) rows."""
+    """A window set from a list of (context, target, anchor) rows, each
+    row its own stretch of the values."""
     contexts, targets, anchors = zip(*rows)
-    return Windows(np.stack(contexts), np.stack(targets), np.asarray(anchors))
+    l, h = len(contexts[0]), len(targets[0])
+    values = np.concatenate([np.concatenate([c, t]) for c, t in zip(contexts, targets)])
+    return Windows(values, np.arange(len(rows)) * (l + h), np.asarray(anchors), l, h)
 
 
-def take(windows: Windows, rows) -> Windows:
-    """The window set's ``rows`` (a slice or an index array)."""
-    return Windows(windows.contexts[rows], windows.targets[rows], windows.anchors[rows])
+def take(w: Windows, rows) -> Windows:
+    """The window set's ``rows`` (a slice or an index array), over the same values."""
+    return Windows(w.values, w.starts[rows], w.anchors[rows], w.l, w.h)
 
 
 def naive_dft(values: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specbench import ForecastTask, TimeSeries, make_windows, split_windows
+from specbench import ForecastTask, TimeSeries, Windows, make_windows, split_windows
 from specbench.errors import KTooLarge, RangeTooShort
 from specbench.spectral import dft, sorted_components
 
@@ -113,6 +113,46 @@ def test_invalid_containers():
         TimeSeries(id="x", values=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         ForecastTask(0, 4)
+
+
+# the last window ends exactly at the end of the values
+_WINDOWS = dict(values=np.arange(10.0), starts=[0, 5], anchors=[2, 7], l=2, h=3)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"starts": [-1, 5]}, "outside"),
+    ({"starts": [0, 6]}, "outside"),
+    ({"anchors": [2]}, "shapes"),
+    ({"starts": [[0, 5]], "anchors": [[2, 7]]}, "shapes"),
+    ({"values": np.append(np.arange(9.0), np.nan)}, "finite"),
+    ({"values": np.append(np.inf, np.arange(9.0))}, "finite"),
+    ({"l": 0}, "positive"),
+    ({"h": -3}, "positive"),
+])
+def test_windows_reject_malformed_input(bad, match):
+    assert len(Windows(**_WINDOWS)) == 2
+    with pytest.raises(ValueError, match=match):
+        Windows(**{**_WINDOWS, **bad})
+
+
+def test_concat_offsets_starts_across_sources_of_different_lengths():
+    task = ForecastTask(3, 2)
+    parts = [
+        make_windows(series(np.arange(n) + 100.0 * i), task, stride, bounds)
+        for i, (n, stride, bounds) in enumerate([(7, 1, None), (12, 3, (2, 12)), (5, 1, None)])
+    ]
+    pooled = Windows.concat(parts)
+    assert pooled.values.size == 7 + 12 + 5 and len(pooled) == 3 + 2 + 1
+    for name in ("anchors", "contexts", "targets"):
+        np.testing.assert_array_equal(
+            getattr(pooled, name), np.concatenate([getattr(w, name) for w in parts])
+        )
+    idx = np.array([5, 0, 4, 4])
+    rows = pooled.rows(idx)
+    assert rows.flags.c_contiguous
+    np.testing.assert_array_equal(
+        rows, np.concatenate([pooled.contexts[idx], pooled.targets[idx]], axis=1)
+    )
 
 
 # -- properties of the window arrays ------------------------------------------

@@ -16,17 +16,15 @@ from specbench.models.statistical import (
 from specbench.series import Windows
 from specbench.spectral import dft, sorted_components
 
-from helpers import stack_windows, take
+from helpers import take
 
 
 def _windows_from_series(values, l, h, count=30, stride=3):
-    out = []
-    for i in range(count):
-        t = l + i * stride
-        if t + h > len(values):
-            break
-        out.append((values[t - l : t], values[t : t + h], t))
-    return stack_windows(out)
+    """Up to ``count`` windows ``stride`` apart, as starts into ``values``,
+    so overlapping windows share lag rows."""
+    starts = np.arange(count) * stride
+    starts = starts[starts + l + h <= len(values)]
+    return Windows(values, starts, starts + l, l, h)
 
 
 TC = TrainConfig(max_steps=10)
@@ -49,7 +47,7 @@ def test_naive_fit_is_immediate():
 def test_empty_train_set():
     cfg = ModelConfig(family=Family.NAIVE_LAST, horizon=5, context_len=8)
     with pytest.raises(EmptyTrainSet):
-        fit(cfg, Windows(np.empty((0, 8)), np.empty((0, 5)), np.empty(0, dtype=int)), None, TC)
+        fit(cfg, Windows(np.zeros(13), [], [], 8, 5), None, TC)
 
 
 def test_bad_context_length():
@@ -281,9 +279,10 @@ def test_ar_keeps_overlapping_windows_of_different_sources_apart():
     first = _windows_from_series(a, 40, 12, count=60, stride=2)
     second = _windows_from_series(b, 40, 12, count=60, stride=2)
     interleaved = np.stack([np.arange(60), np.arange(60) + 60], axis=1).reshape(-1)
-    pooled = take(Windows.concat([first, Windows(second.contexts, second.targets,
-                                                 second.anchors + 1)]), interleaved)
+    shifted = Windows(second.values, second.starts, second.anchors + 1, second.l, second.h)
+    pooled = take(Windows.concat([first, shifted]), interleaved)
     assert set(np.diff(pooled.anchors)) == {1}
+    assert (np.diff(pooled.starts) < 0).any()
     np.testing.assert_allclose(
         _fit_ar(pooled, 6), _row_by_row_reference(pooled, 6), rtol=1e-9, atol=1e-12
     )

@@ -12,7 +12,8 @@ import numpy as np
 from specbench import Segment, preprocess, select_series
 from specbench.autodiff import Tape, Tensor, backward, matmul, mean, mul, recording, relu
 from specbench.models import Family, ModelConfig, TrainConfig, fit, predict, statistical
-from specbench.series import Windows
+
+from helpers import stack_windows
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -57,7 +58,7 @@ def _counting(monkeypatch, module, attr):
 def test_seasonal_naive_takes_one_traced_dft_per_row(monkeypatch):
     cfg = ModelConfig(family=Family.SEASONAL_NAIVE, horizon=6, context_len=24)
     rows = np.sin(np.arange(5 * 24.0)).reshape(5, 24)
-    model = fit(cfg, Windows(rows, rows[:, :6], np.arange(5)), None, TrainConfig(max_steps=1))
+    model = fit(cfg, stack_windows([(r, r[:6], 24) for r in rows]), None, TrainConfig(max_steps=1))
     calls = _counting(monkeypatch, statistical, "dft")
     assert predict(model, rows).shape == (5, 6)
     assert len(calls) == 5

@@ -1,8 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specbench import ForecastTask, Windows, gen_sinusoid_dataset, split_windows
 from specbench.errors import DivergedLoss, UnsupportedFamily
 from specbench.models import (
     Attention,
@@ -427,3 +429,21 @@ def test_forecasts_use_the_trained_network_without_rebuilding_it(monkeypatch):
     embed(model, train.contexts)
     assert len(builds) == 1
 
+
+def test_paper_size_training_holds_source_values_not_window_rows():
+    # the paper-default OOD sets: 100 series of 1200 samples, k = 2, split
+    # 1008, l 256, h 192; as (l + h) rows the train windows alone are 252 MiB
+    task = ForecastTask(256, 192)
+    series = gen_sinusoid_dataset(100, seed=1, length=1200).composed
+    tracemalloc.start()
+    try:
+        splits = [split_windows(s, task, 1008, k=2) for s in series]
+        train = Windows.concat([split.train for split in splits])
+        valid = Windows.concat([split.valid for split in splits])
+        cfg = ModelConfig(family=Family.MLP, context_len=256, horizon=192)
+        fit(cfg, train, valid, TrainConfig(max_steps=2, windows_batch=256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(train), len(valid)) == (73_800, 200)
+    assert peak < 64e6
