@@ -35,7 +35,6 @@ from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import NonScalarLoss, ShapeMismatch
 
@@ -370,6 +369,14 @@ def softplus(a: Tensor) -> Tensor:
 
 def lgamma(a: Tensor) -> Tensor:
     """Log-gamma for positive inputs; gradient is the digamma function."""
+    # scipy is imported here, on the first call, so no command pays for it
+    # at start-up; only the Student-t loss reaches this. A pool worker that
+    # fits a Student-t model therefore imports scipy itself, about 0.2 s
+    # once per worker, and scipy's own OpenBLAS then loads after
+    # pin_blas_threads has run. That is harmless: gammaln and digamma call
+    # no BLAS.
+    from scipy import special
+
     x = a.data
     return _emit(Tensor(special.gammaln(x)), (a,), lambda g: (g * special.digamma(x),))
 

@@ -44,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for count flags; argparse names the flag on error."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(**fields) -> None:
     print(" ".join(f"{key}={value}" for key, value in fields.items()), flush=True)
 
@@ -187,9 +194,9 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset as CSV")
     gen.add_argument("--kind", choices=("sinusoid", "trend1", "trend2"), default="sinusoid")
-    gen.add_argument("--n", type=int, default=100)
+    gen.add_argument("--n", type=_positive_int, default=100)
     gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--length", type=int, default=DEFAULT_LENGTH)
+    gen.add_argument("--length", type=_positive_int, default=DEFAULT_LENGTH)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
@@ -197,10 +204,10 @@ def _build_parser() -> _Parser:
     prep.add_argument("--input", required=True)
     prep.add_argument("--out", required=True)
     prep.add_argument("--keep", type=int, default=100)
-    prep.add_argument("--patch-len", type=int, default=PATCH_LEN, dest="patch_len")
-    prep.add_argument("--stride", type=int, default=PATCH_STRIDE)
+    prep.add_argument("--patch-len", type=_positive_int, default=PATCH_LEN, dest="patch_len")
+    prep.add_argument("--stride", type=_positive_int, default=PATCH_STRIDE)
     prep.add_argument("--alpha", type=float, default=ADF_ALPHA)
-    prep.add_argument("--nlags", type=int, default=ACF_LAGS)
+    prep.add_argument("--nlags", type=_positive_int, default=ACF_LAGS)
     prep.set_defaults(func=_cmd_prep)
 
     run = sub.add_parser("run", help="execute the experiment matrix")
@@ -224,15 +231,15 @@ def _build_parser() -> _Parser:
     cka = sub.add_parser("cka", help="embedding similarity across training variants")
     cka.add_argument("--kind", choices=("trend1", "trend2"), default="trend1")
     cka.add_argument("--seed", type=int, default=1)
-    cka.add_argument("--series", type=int, default=4)
-    cka.add_argument("--length", type=int, default=512)
-    cka.add_argument("--context-len", type=int, default=96, dest="context_len")
-    cka.add_argument("--horizon", type=int, default=32)
-    cka.add_argument("--patch-len", type=int, default=32, dest="patch_len")
-    cka.add_argument("--patch-stride", type=int, default=16, dest="patch_stride")
+    cka.add_argument("--series", type=_positive_int, default=4)
+    cka.add_argument("--length", type=_positive_int, default=512)
+    cka.add_argument("--context-len", type=_positive_int, default=96, dest="context_len")
+    cka.add_argument("--horizon", type=_positive_int, default=32)
+    cka.add_argument("--patch-len", type=_positive_int, default=32, dest="patch_len")
+    cka.add_argument("--patch-stride", type=_positive_int, default=16, dest="patch_stride")
     cka.add_argument("--size", choices=[s.value for s in ModelSize], default="TINY")
-    cka.add_argument("--steps", type=int, default=150)
-    cka.add_argument("--windows-batch", type=int, default=64, dest="windows_batch")
+    cka.add_argument("--steps", type=_positive_int, default=150)
+    cka.add_argument("--windows-batch", type=_positive_int, default=64, dest="windows_batch")
     cka.add_argument("--out", required=True)
     cka.set_defaults(func=_cmd_cka)
     return parser

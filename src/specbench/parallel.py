@@ -17,7 +17,7 @@ from .errors import ConfigError
 
 __all__ = ["ordered_map", "worker_count"]
 
-# A forked worker starts with numpy and scipy already imported; a
+# A forked worker starts with numpy and this package already imported; a
 # forkserver or spawned one imports them again.
 _CONTEXT = (multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods() else None)

@@ -89,8 +89,7 @@ def load_csv(path: str | Path) -> list[TimeSeries]:
             raise EmptyFile(f"{path} is empty") from None
         if header[:3] != ["unique_id", "ds", "y"]:
             raise SchemaError(f"{path} header is {header!r}, expected unique_id,ds,y")
-        order: list[str] = []
-        buckets: dict[str, list[float]] = {}
+        buckets: dict[str, list[float]] = {}  # insertion order is file order
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -102,12 +101,23 @@ def load_csv(path: str | Path) -> list[TimeSeries]:
             except ValueError:
                 raise SchemaError(f"{path}:{lineno} non-numeric y field {y!r}") from None
             if uid not in buckets:
-                order.append(uid)
+                if not uid:
+                    raise SchemaError(f"{path}:{lineno} has an empty unique_id")
                 buckets[uid] = []
             buckets[uid].append(value)
-    if not order:
+    if not buckets:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return [TimeSeries(id=uid, values=np.array(buckets[uid])) for uid in order]
+    series = []
+    for uid, rows in buckets.items():
+        values = np.array(rows)
+        finite = np.isfinite(values)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise SchemaError(
+                f"{path}: series {uid!r} has non-finite y {float(values[t])!r} at sample {t}"
+            )
+        series.append(TimeSeries(id=uid, values=values))
+    return series
 
 
 def write_csv(path: str | Path, series: list[TimeSeries]) -> None:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specbench
 from specbench.harness.cli import main
 from specbench.preprocess import load_csv
 
@@ -200,3 +205,117 @@ def test_cka_outputs_symmetric_unit_diagonal(tmp_path, capsys):
     np.testing.assert_allclose(np.diag(matrix), 1.0, atol=1e-9)
     np.testing.assert_allclose(matrix, matrix.T, atol=1e-9)
     assert doc["variants"] == ["id_composed", "ood_both", "ood_sinusoid", "ood_trend"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--n", "0"], "--n"),
+    (["gen", "--n", "-1"], "--n"),
+    (["cka", "--steps", "0"], "--steps"),
+    (["cka", "--horizon", "0"], "--horizon"),
+    (["prep", "--input", "raw.csv", "--stride", "0"], "--stride"),
+    (["prep", "--input", "raw.csv", "--nlags", "-3"], "--nlags"),
+])
+def test_count_flags_must_be_positive(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a positive integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, named", [
+    (["a,0,1.0", ",1,2.0"], "raw.csv:3 has an empty unique_id"),
+    (["a,0,1.0", "a,1,nan"], "series 'a' has non-finite y nan at sample 1"),
+    (["a,0,1.0", "b,0,2.0", "b,1,inf"], "series 'b' has non-finite y inf at sample 1"),
+    (["a,0,1e400", "a,1,2.0"], "series 'a' has non-finite y inf at sample 0"),
+])
+def test_prep_rejects_bad_values_as_user_errors(tmp_path, capsys, rows, named):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("\n".join(["unique_id,ds,y", *rows]) + "\n")
+    assert main(["prep", "--input", str(raw), "--out", str(tmp_path / "prep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+_IMPORT_CONTRACT_CHILD = """
+import json, sys
+from pathlib import Path
+
+def scipy_state():
+    # numpy's own OpenBLAS is libscipy_openblas64_; scipy's is libscipy_openblas
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            names = {Path(line.split()[-1]).name for line in fh if "openblas" in line}
+        blas = any(n.startswith("libscipy_openblas")
+                   and not n.startswith("libscipy_openblas64") for n in names)
+    except OSError:
+        blas = None
+    return {"module": "scipy" in sys.modules, "blas": blas,
+            "special": "scipy.special" in sys.modules, "ma": "numpy.ma" in sys.modules}
+
+from specbench.harness import cli
+print(json.dumps(scipy_state()))
+
+Path("exp.cfg").write_text(sys.argv[1])
+assert cli.main(["run", "--config", "exp.cfg", "--out", "results"]) == 0
+assert cli.main(["eval", "--results", "results", "--report", "report.json"]) == 0
+report = json.loads(Path("report.json").read_text())
+assert set(report["cd"]) == {"ID", "OOD"}, report["cd"]
+assert all(0.0 <= cd["friedman_p"] <= 1.0 for cd in report["cd"].values())
+print(json.dumps(scipy_state()))
+
+import numpy as np
+from specbench.models import Family, LossKind, ModelConfig, TrainConfig, fit
+from specbench.series import ForecastTask, TimeSeries, make_windows
+cfg = ModelConfig(family=Family.PATCH_TRANSFORMER, horizon=4, context_len=16, patch_len=8,
+                  patch_stride=4, custom_dims=(12, 24, 1, 2), loss=LossKind.STUDENT_T)
+t = np.arange(64)
+train = make_windows(TimeSeries("s", np.sin(2 * np.pi * t / 16)), ForecastTask(16, 4))
+model = fit(cfg, train, None, TrainConfig(max_steps=2, val_check_every=1, windows_batch=4))
+assert [step for step, _, _ in model.history] == [1, 2]
+assert all(np.isfinite(loss) for _, loss, _ in model.history)
+print(json.dumps(scipy_state()))
+"""
+
+_STATISTICAL_ZOO_CFG = """
+[task]
+context_len = 48
+horizon = 16
+
+[run]
+seeds = 1
+""" + "".join(
+    f'\n[dataset "{kind}"]\nkind = {kind}\nn_series = 2\nseed = 1\nlength = 320\n'
+    for kind in ("sinusoid", "trend1", "trend2")
+) + "".join(
+    f'\n[model "{family.lower()}"]\nfamily = {family}\n'
+    for family in ("NAIVE_LAST", "SES", "HOLT")
+)
+
+
+def test_commands_start_and_rank_without_scipy(tmp_path):
+    # a fresh interpreter: other tests in this session import scipy first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(specbench.__file__).resolve().parent.parent),
+                    env.get("PYTHONPATH", "")) if p
+    )
+    env["SPECBENCH_WORKERS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT_CHILD, _STATISTICAL_ZOO_CFG],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported, ranked, student_t = [json.loads(line) for line in proc.stdout.splitlines()
+                                   if line.startswith("{")]
+    # after `import specbench.harness.cli`, and after a run and an eval
+    # with Friedman and Wilcoxon-Holm over 3 models x 3 datasets
+    for state in (imported, ranked):
+        assert state["module"] is False and state["blas"] is not True
+    # scipy used to import numpy.ma up front; a pool worker must not pay
+    # for it now (np.unique imports it, and SES, HOLT and trend data ran)
+    assert ranked["ma"] is False
+    # only the Student-t loss's log-gamma terms import scipy
+    assert student_t["special"] is True

@@ -289,6 +289,32 @@ def test_friedman_column_permutation_invariance():
     assert base.statistic == pytest.approx(shuffled.statistic)
 
 
+def test_chi2_tail_matches_the_regularised_upper_gamma():
+    special = pytest.importorskip("scipy.special")
+    worst = 0.0
+    for df in range(1, 101):
+        xs = np.linspace(0.0, 3.0 * df + 60.0, 241)
+        got = np.array([evaluation._chi2_sf(float(x), df) for x in xs])
+        ref = special.gammaincc(df / 2.0, xs / 2.0)
+        assert got[0] == 1.0
+        assert not np.isnan(got).any() and got.min() >= 0.0 and got.max() <= 1.0
+        shown = ref > 1e-250
+        worst = max(worst, float(np.max(np.abs(got[shown] - ref[shown]) / ref[shown])))
+    assert worst <= 1e-12
+
+
+def test_chi2_tail_stays_a_probability_far_out():
+    # past x ~ 1490, e^{-x/2} alone underflows; the tail must not read 0
+    # where the mass is still near the middle, nor NaN anywhere. A Friedman
+    # statistic is at most D (M - 1), so it is always finite.
+    assert evaluation._chi2_sf(3000.0, 3000) == pytest.approx(0.4965664388396, rel=1e-9)
+    assert evaluation._chi2_sf(1500.0, 3000) == 1.0
+    for df in (1, 2, 7, 1000):
+        for x in (1e3, 1e4, 1e6, 1e300):
+            p = evaluation._chi2_sf(x, df)
+            assert 0.0 <= p <= 1.0
+
+
 def test_friedman_too_few_methods():
     with pytest.raises(TooFewMethods):
         friedman(ScoreMatrix(["a", "b"], ["d1", "d2"], np.ones((2, 2))))

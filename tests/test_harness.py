@@ -705,8 +705,8 @@ def test_pool_workers_pin_blas_to_one_thread(tmp_path, monkeypatch):
 
 
 def test_pool_workers_are_forked_where_the_platform_can_fork():
-    # a forked worker starts with numpy and scipy imported; Python 3.14
-    # makes forkserver the Linux default, which imports them again
+    # a forked worker starts with numpy and this package imported; Python
+    # 3.14 makes forkserver the Linux default, which imports them again
     if "fork" not in multiprocessing.get_all_start_methods():
         assert parallel._CONTEXT is None
     else:
