@@ -372,9 +372,9 @@ def lgamma(a: Tensor) -> Tensor:
     # scipy is imported here, on the first call, so no command pays for it
     # at start-up; only the Student-t loss reaches this. A pool worker that
     # fits a Student-t model therefore imports scipy itself, about 0.2 s
-    # once per worker, and scipy's own OpenBLAS then loads after
-    # pin_blas_threads has run. That is harmless: gammaln and digamma call
-    # no BLAS.
+    # once per worker, and scipy's own OpenBLAS then loads after the
+    # worker set its BLAS to one thread. That is harmless: gammaln and
+    # digamma call no BLAS.
     from scipy import special
 
     x = a.data

@@ -44,11 +44,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for count flags; argparse names the flag on error."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int, wording: str):
+    """argparse type for integer flags of at least ``low``; argparse names
+    the flag on error."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
 
 
 def _emit(**fields) -> None:
@@ -147,7 +155,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_cka(args) -> int:
-    dataset = synthetic_dataset(args.kind, max(args.series, 2), args.seed, args.length)
+    dataset = synthetic_dataset(args.kind, args.series, args.seed, args.length)
     task = ForecastTask(context_len=args.context_len, horizon=args.horizon)
     variants = {
         "id_composed": [[s] for s in dataset.composed],
@@ -203,7 +211,7 @@ def _build_parser() -> _Parser:
     prep = sub.add_parser("prep", help="segment, screen, and select real series")
     prep.add_argument("--input", required=True)
     prep.add_argument("--out", required=True)
-    prep.add_argument("--keep", type=int, default=100)
+    prep.add_argument("--keep", type=_int_at_least(0, "a non-negative integer"), default=100)
     prep.add_argument("--patch-len", type=_positive_int, default=PATCH_LEN, dest="patch_len")
     prep.add_argument("--stride", type=_positive_int, default=PATCH_STRIDE)
     prep.add_argument("--alpha", type=float, default=ADF_ALPHA)
@@ -231,7 +239,7 @@ def _build_parser() -> _Parser:
     cka = sub.add_parser("cka", help="embedding similarity across training variants")
     cka.add_argument("--kind", choices=("trend1", "trend2"), default="trend1")
     cka.add_argument("--seed", type=int, default=1)
-    cka.add_argument("--series", type=_positive_int, default=4)
+    cka.add_argument("--series", type=_int_at_least(2, "an integer >= 2"), default=4)
     cka.add_argument("--length", type=_positive_int, default=512)
     cka.add_argument("--context-len", type=_positive_int, default=96, dest="context_len")
     cka.add_argument("--horizon", type=_positive_int, default=32)

@@ -3,17 +3,20 @@ screen, and autocorrelation-ranked selection of the final subseries.
 
 The CSV schema is long format with header ``unique_id,ds,y``: ``unique_id``
 names the series, ``ds`` is an opaque timestamp string the math never
-touches, and ``y`` is a decimal literal. Files are UTF-8 with LF line
-endings and unquoted numeric fields.
+touches, and ``y`` is a decimal literal that ``float()`` reads. Files are
+UTF-8 with LF or CRLF line endings; blank lines are skipped, and no field
+is quoted. :func:`load_csv` rejects everything else with
+:class:`~specbench.errors.SchemaError`: bytes that are not UTF-8, a quote
+character anywhere, a data line without exactly three fields, an empty
+``unique_id``, a ``y`` that ``float()`` refuses, and a non-finite ``y``.
 """
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ from .errors import (
     TooShort,
     ZeroVariance,
 )
-from .parallel import ordered_map
+from .parallel import blas_threads, ordered_map
 from .series import TimeSeries
 
 __all__ = [
@@ -78,38 +81,56 @@ class AdfReport:
     stationary: bool
 
 
+# Data lines parsed by one ``np.loadtxt`` call. A chunk bounds the parse's
+# memory: on the bench's 190,081-row file, 4,096-line chunks grew peak RSS
+# by about 6 MB and 16,384-line ones by 14 MB, against 10 MB for one
+# ``csv.reader`` row and ``float()`` per line; 1,024 to 4,096 lines took
+# the same time.
+_CHUNK_LINES = 4096
+# Longest line a chunk may hold and still take the fast parse; the id
+# column is sized from it, at four bytes a character per row.
+_FAST_LINE_MAX = 256
+# Characters the fast parse does not read as ``float()`` and ``str.split``
+# do: numpy strips \x1c-\x1f around a number, as ``float()`` does not, and
+# drops a string's trailing NULs; a quote is rejected in any line.
+_SLOW_CHARS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def load_csv(path: str | Path) -> list[TimeSeries]:
-    """Read long-format CSV into one TimeSeries per unique_id (file order)."""
+    """Read long-format CSV into one TimeSeries per unique_id (file order).
+
+    The file must be in the format this module's docstring gives. One
+    that breaks it raises :class:`SchemaError`, which names the bad line
+    where there is one; a file without data rows raises :class:`EmptyFile`.
+
+    Data lines are parsed ``_CHUNK_LINES`` at a time by one ``np.loadtxt``
+    call. A chunk that fails its checks is parsed again line by line,
+    which raises the first bad line's error or, where numpy refuses a
+    literal ``float()`` takes (``1_0``), reads it as ``float()`` does.
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        if header[:3] != ["unique_id", "ds", "y"]:
-            raise SchemaError(f"{path} header is {header!r}, expected unique_id,ds,y")
-        buckets: dict[str, list[float]] = {}  # insertion order is file order
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"{path}:{lineno} has {len(row)} fields, expected 3")
-            uid, _, y = row
-            try:
-                value = float(y)
-            except ValueError:
-                raise SchemaError(f"{path}:{lineno} non-numeric y field {y!r}") from None
-            if uid not in buckets:
-                if not uid:
-                    raise SchemaError(f"{path}:{lineno} has an empty unique_id")
-                buckets[uid] = []
-            buckets[uid].append(value)
+    buckets: dict[str, list[np.ndarray]] = {}  # insertion order is file order
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first:
+                raise EmptyFile(f"{path} is empty")
+            header = _fields(path, 1, first)
+            if header[:3] != ["unique_id", "ds", "y"]:
+                raise SchemaError(f"{path} header is {header!r}, expected unique_id,ds,y")
+            lineno = 2
+            while chunk := list(islice(fh, _CHUNK_LINES)):
+                ids, ys = _parse_fast(chunk) or _parse_lines(path, chunk, lineno)
+                _add_runs(buckets, ids, ys)
+                lineno += len(chunk)
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise SchemaError(f"{path} is not UTF-8 text: byte {byte:#04x} ({exc.reason})") from None
     if not buckets:
         raise EmptyFile(f"{path} has a header but no data rows")
     series = []
-    for uid, rows in buckets.items():
-        values = np.array(rows)
+    for uid, parts in buckets.items():
+        values = np.concatenate(parts)
         finite = np.isfinite(values)
         if not finite.all():
             t = int(np.argmin(finite))
@@ -118,6 +139,69 @@ def load_csv(path: str | Path) -> list[TimeSeries]:
             )
         series.append(TimeSeries(id=uid, values=values))
     return series
+
+
+def _fields(path: Path, lineno: int, line: str) -> list[str]:
+    """The comma-separated fields of one line; none for a blank line."""
+    line = line.rstrip("\n")
+    if '"' in line:
+        raise SchemaError(f"{path}:{lineno} has a quote character; fields are never quoted")
+    return line.split(",") if line else []
+
+
+def _parse_fast(chunk: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The chunk's ids and values by one ``np.loadtxt`` call, or None where
+    the line-by-line parse must decide.
+
+    ``loadtxt`` skips empty lines and raises on any other line that does
+    not have exactly the dtype's three fields. ``ds`` is read only to count
+    them, so one character of it is kept.
+    """
+    width = max(map(len, chunk))
+    text = "".join(chunk)
+    if (width > _FAST_LINE_MAX or chunk.count("\n") == len(chunk)
+            or any(c in text for c in _SLOW_CHARS)):
+        return None  # blank chunks, which loadtxt warns about, go line by line too
+    try:
+        table = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=1,
+                           dtype=[("id", f"U{width}"), ("ds", "U1"), ("y", "f8")])
+    except ValueError:
+        return None
+    ids = table["id"]
+    if (ids == "").any():
+        return None
+    return ids, table["y"].copy()  # a copy, so the ids' memory goes with the chunk
+
+
+def _parse_lines(path: Path, chunk: list[str], first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk's ids and values one line at a time, ``chunk[0]`` being
+    line ``first`` of the file; raises at the first bad line."""
+    ids, ys = [], []
+    for lineno, line in enumerate(chunk, start=first):
+        row = _fields(path, lineno, line)
+        if not row:
+            continue
+        if len(row) != 3:
+            raise SchemaError(f"{path}:{lineno} has {len(row)} fields, expected 3")
+        uid, _, y = row
+        try:
+            value = float(y)
+        except ValueError:
+            raise SchemaError(f"{path}:{lineno} non-numeric y field {y!r}") from None
+        if not uid:
+            raise SchemaError(f"{path}:{lineno} has an empty unique_id")
+        ids.append(uid)
+        ys.append(value)
+    return np.array(ids, dtype=object), np.array(ys, dtype=np.float64)
+
+
+def _add_runs(buckets: dict[str, list[np.ndarray]], ids: np.ndarray, ys: np.ndarray) -> None:
+    """Append each run of equal ids' values to that id's bucket."""
+    if not len(ids):
+        return
+    starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    for lo, hi in zip(starts, starts[1:]):
+        buckets.setdefault(str(ids[lo]), []).append(ys[lo:hi])
 
 
 def write_csv(path: str | Path, series: list[TimeSeries]) -> None:
@@ -321,13 +405,17 @@ def select_series(
     ADF outcome.
 
     The first ``_SERIAL_TESTS`` candidates are tested in this process,
-    where a short walk costs less than starting a pool. A walk that goes
-    on past them runs on :func:`specbench.parallel.ordered_map`'s workers
-    (``SPECBENCH_WORKERS``, or one per usable CPU), a chunk of candidates
-    at a time. Once ``keep`` have passed it closes the map, so chunks no
-    worker has started are dropped. The test's arithmetic does not depend
-    on the BLAS thread count, so every worker count keeps the same
-    segments in the same order.
+    where a short walk costs less than starting a pool. The walk runs with
+    this process's BLAS on one thread, as the pool's workers do, and the
+    thread count is restored however the walk ends. A test's small QR gains
+    nothing from threads: on 2 vCPUs the bench's 68 in-process tests took
+    28-50 ms in 8 runs on one thread, and on two 47-70 ms in 7 runs and
+    0.98 s in the eighth. A walk that goes on past them runs on
+    :func:`specbench.parallel.ordered_map`'s workers (``SPECBENCH_WORKERS``,
+    or one per usable CPU), a chunk of candidates at a time. Once ``keep``
+    have passed it closes the map, so chunks no worker has started are
+    dropped. The test's arithmetic does not depend on the BLAS thread
+    count, so every worker count keeps the same segments in the same order.
     """
     if keep < 0:
         raise ValueError("keep must be >= 0")
@@ -344,7 +432,7 @@ def select_series(
     values = [seg.values for _, seg in ranked]
     head = map(screen, values[:_SERIAL_TESTS])
     tail = ordered_map(screen, values[_SERIAL_TESTS:], chunksize=_SCREEN_CHUNK)
-    with closing(tail):
+    with blas_threads(1), closing(tail):
         for stationary, (_, seg) in zip(chain(head, tail), ranked):
             if stationary:
                 kept.append(seg)

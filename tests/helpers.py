@@ -2,10 +2,13 @@
 finite-difference gradient checks."""
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
+from specbench.errors import EmptyFile, SchemaError
 from specbench.autodiff import Tape, Tensor, _emit, add, backward, mul, recording
 from specbench.models import losses, networks, transformer
 from specbench.preprocess import _lagged_design
@@ -282,3 +285,75 @@ def adf_lag_ssrs_reference(x: np.ndarray, max_lag: int) -> np.ndarray:
         resid = y - Xp @ beta
         ssrs.append(float(resid @ resid))
     return np.array(ssrs)
+
+
+def load_csv_reference(path) -> list[tuple[str, np.ndarray]]:
+    """``(id, values)`` per series of a long-format CSV, in file order, one
+    ``csv.reader`` row and one ``float()`` per line; the quote and UTF-8
+    rules and every message are those ``load_csv`` documents."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise SchemaError(f"{path} is not UTF-8 text: byte {byte:#04x} ({exc.reason})") from None
+    if not lines:
+        raise EmptyFile(f"{path} is empty")
+    buckets: dict[str, list[float]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        if '"' in line:
+            raise SchemaError(f"{path}:{lineno} has a quote character; fields are never quoted")
+        row = next(csv.reader([line]), [])
+        if lineno == 1:
+            if row[:3] != ["unique_id", "ds", "y"]:
+                raise SchemaError(f"{path} header is {row!r}, expected unique_id,ds,y")
+            continue
+        if not row:
+            continue
+        if len(row) != 3:
+            raise SchemaError(f"{path}:{lineno} has {len(row)} fields, expected 3")
+        uid, _, y = row
+        try:
+            value = float(y)
+        except ValueError:
+            raise SchemaError(f"{path}:{lineno} non-numeric y field {y!r}") from None
+        if not uid:
+            raise SchemaError(f"{path}:{lineno} has an empty unique_id")
+        buckets.setdefault(uid, []).append(value)
+    if not buckets:
+        raise EmptyFile(f"{path} has a header but no data rows")
+    series = []
+    for uid, values in buckets.items():
+        values = np.array(values)
+        finite = np.isfinite(values)
+        if not finite.all():
+            t = int(np.argmin(finite))
+            raise SchemaError(
+                f"{path}: series {uid!r} has non-finite y {float(values[t])!r} at sample {t}"
+            )
+        series.append((uid, values))
+    return series
+
+
+# thread getters of the OpenBLAS builds numpy (64-bit ints) and scipy load
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+
+
+def openblas_threads() -> dict[str, int]:
+    """The thread count of each OpenBLAS loaded in this process, by path;
+    OSError where there is no ``/proc/self/maps`` to find them by."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    counts = {}
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in _OPENBLAS_GETTERS:
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts[lib] = getter()
+                break
+    return counts

@@ -151,9 +151,10 @@ def test_prep_selects_segments(tmp_path):
     assert all(len(s) == 64 for s in selected)
 
 
-def _raw_parents(path, parents=6, length=64 + 32 * 7):
+def _raw_parents(path, parents=6, length=64 + 32 * 7, names=None):
     """Long-format parents for ``prep``: AR(1) plus a seasonal term, every
-    third a random walk, so the screen keeps some segments and drops others."""
+    third a random walk, so the screen keeps some segments and drops others.
+    Parent ``p`` is named ``names[p]``, or ``p{p}``."""
     rng = np.random.default_rng(11)
     rows = ["unique_id,ds,y"]
     for p in range(parents):
@@ -162,8 +163,9 @@ def _raw_parents(path, parents=6, length=64 + 32 * 7):
             values = np.cumsum(noise)
         else:
             values = np.sin(2 * np.pi * np.arange(length) / (8 + p)) + 0.5 * noise
-        rows += [f"p{p},{i},{v!r}" for i, v in enumerate(values.tolist())]
-    path.write_text("\n".join(rows) + "\n")
+        name = names[p] if names else f"p{p}"
+        rows += [f"{name},{i},{v!r}" for i, v in enumerate(values.tolist())]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 PREP_ARGS = ["--keep", "10", "--patch-len", "64", "--stride", "32", "--nlags", "8"]
@@ -180,6 +182,33 @@ def test_prep_selects_the_same_bytes_with_one_and_two_workers(tmp_path, monkeypa
         written.append((out / "selected.csv").read_bytes())
     assert written[0] == written[1]
     assert len(load_csv(tmp_path / "prep1" / "selected.csv")) == 10
+
+
+def test_prep_writes_what_load_csv_reads_back(tmp_path):
+    raw = tmp_path / "raw.csv"
+    names = [" lead", "trail ", "é-1", "日本", "a\tb", "p_5"]
+    _raw_parents(raw, names=names)
+    out = tmp_path / "prep"
+    assert main(["prep", "--input", str(raw), "--out", str(out), *PREP_ARGS]) == 0
+    parents = {ts.id: ts.values for ts in load_csv(raw)}
+    selected = load_csv(out / "selected.csv")
+    assert len(selected) == 10
+    for ts in selected:
+        name, _, offset = ts.id.rpartition("_")
+        assert name in names
+        start = int(offset)
+        assert ts.values.tobytes() == parents[name][start : start + 64].tobytes()
+
+
+def test_prep_rejects_a_quoted_id_before_writing(tmp_path, capsys):
+    # csv quoting would read "p,0" as one id, which prep would then write
+    # unquoted as a line of four fields
+    raw = tmp_path / "raw.csv"
+    _raw_parents(raw, names=['"p,0"', "p1", "p2", "p3", "p4", "p5"])
+    out = tmp_path / "prep"
+    assert main(["prep", "--input", str(raw), "--out", str(out), *PREP_ARGS]) == 1
+    assert f"error: {raw}:2 has a quote character" in capsys.readouterr().err
+    assert not (out / "selected.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["two", "0"])
@@ -225,15 +254,42 @@ def test_count_flags_must_be_positive(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, wording", [
+    (["prep", "--input", "raw.csv", "--keep", "-1"], "--keep", "a non-negative integer"),
+    (["prep", "--input", "raw.csv", "--keep", "two"], "--keep", "a non-negative integer"),
+    (["cka", "--series", "1"], "--series", "an integer >= 2"),
+    (["cka", "--series", "0"], "--series", "an integer >= 2"),
+])
+def test_bounded_flags_name_the_flag(tmp_path, capsys, argv, flag, wording):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be {wording}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prep_keeps_nothing_with_keep_0(tmp_path):
+    raw = tmp_path / "raw.csv"
+    _raw_parents(raw)
+    out = tmp_path / "prep"
+    assert main(["prep", "--input", str(raw), "--out", str(out), "--keep", "0",
+                 "--patch-len", "64", "--stride", "32", "--nlags", "8"]) == 0
+    assert (out / "selected.csv").read_text() == "unique_id,ds,y\n"
+
+
 @pytest.mark.parametrize("rows, named", [
     (["a,0,1.0", ",1,2.0"], "raw.csv:3 has an empty unique_id"),
     (["a,0,1.0", "a,1,nan"], "series 'a' has non-finite y nan at sample 1"),
     (["a,0,1.0", "b,0,2.0", "b,1,inf"], "series 'b' has non-finite y inf at sample 1"),
     (["a,0,1e400", "a,1,2.0"], "series 'a' has non-finite y inf at sample 0"),
+    (["a,0,1.0", "b\udcff,0,2.0"], "raw.csv is not UTF-8 text: byte 0xff"),
 ])
 def test_prep_rejects_bad_values_as_user_errors(tmp_path, capsys, rows, named):
     raw = tmp_path / "raw.csv"
-    raw.write_text("\n".join(["unique_id,ds,y", *rows]) + "\n")
+    # surrogateescape writes "\udcff" as the lone byte 0xff
+    text = "\n".join(["unique_id,ds,y", *rows]) + "\n"
+    raw.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["prep", "--input", str(raw), "--out", str(tmp_path / "prep")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

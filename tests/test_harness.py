@@ -25,6 +25,8 @@ from specbench.models import Family, ModelConfig, ModelSize, Tokenization, Train
 from specbench.preprocess import write_csv
 from specbench.series import TimeSeries
 
+from helpers import openblas_threads
+
 CFG_TEXT = """
 # tiny experiment
 [task]
@@ -665,43 +667,22 @@ def test_at_most_one_pending_run_starts_no_pool(tmp_path, monkeypatch):
     assert payloads() == kept
 
 
-# thread getters of the OpenBLAS builds numpy (64-bit ints) and scipy load
-_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
-
-
-def _openblas_threads() -> dict[str, int]:
-    """The thread count of each OpenBLAS loaded in this process, by path."""
-    import ctypes
-
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    counts = {}
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        for symbol in _OPENBLAS_GETTERS:
-            getter = getattr(handle, symbol, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts[lib] = getter()
-                break
-    return counts
-
-
 def test_pool_workers_pin_blas_to_one_thread(tmp_path, monkeypatch):
     try:
-        before = _openblas_threads()
+        before = openblas_threads()
     except OSError:
         pytest.skip("this platform has no /proc/self/maps to find OpenBLAS by")
     if not before:
         pytest.skip("no OpenBLAS with a known thread getter is loaded")
-    with ProcessPoolExecutor(max_workers=1, initializer=parallel.pin_blas_threads) as pool:
-        in_worker = pool.submit(_openblas_threads).result(timeout=60)
+    with ProcessPoolExecutor(max_workers=1, initializer=parallel.set_blas_threads,
+                             initargs=(1,)) as pool:
+        in_worker = pool.submit(openblas_threads).result(timeout=60)
     assert in_worker == {lib: 1 for lib in before}
     # the pool's workers are pinned, never the process that starts them
     monkeypatch.setenv("SPECBENCH_WORKERS", "2")
     cfg = load_config(_write_cfg(tmp_path))
     run_matrix(dataclasses.replace(cfg, models=cfg.models[:1], seeds=(1,)), out_dir=tmp_path / "res")
-    assert _openblas_threads() == before
+    assert openblas_threads() == before
 
 
 def test_pool_workers_are_forked_where_the_platform_can_fork():

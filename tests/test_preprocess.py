@@ -1,12 +1,15 @@
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specbench
 
@@ -31,7 +34,13 @@ from specbench.errors import (
 from specbench import preprocess
 from specbench.preprocess import _TAU_MAX, _TAU_MIN, _lag_ssrs, _mackinnon_pvalue
 
-from helpers import adf_lag_ssrs_reference, adf_oracle_series, ar1_series
+from helpers import (
+    adf_lag_ssrs_reference,
+    adf_oracle_series,
+    ar1_series,
+    load_csv_reference,
+    openblas_threads,
+)
 
 
 def test_load_csv_groups_by_id(tmp_path):
@@ -77,6 +86,119 @@ def test_csv_roundtrip_exact(tmp_path):
     assert [s.id for s in loaded] == ["alpha", "beta_2"]
     for a, b in zip(original, loaded):
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def _assert_loads_like_reference(path):
+    """``load_csv`` gives the reference's ids and value bytes, or raises
+    the reference's exception type and message."""
+    try:
+        expected = load_csv_reference(path)
+    except (SchemaError, EmptyFile) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    loaded = load_csv(path)
+    assert [s.id for s in loaded] == [uid for uid, _ in expected]
+    assert [s.values.tobytes() for s in loaded] == [v.tobytes() for _, v in expected]
+
+
+# fields the fast parse reads as the reference does, and fields it must
+# leave to the line-by-line parse (float() literals numpy refuses, and
+# characters numpy reads differently)
+_IDS = ["a", "b", "a", "b", " a", "a ", "é", "日本", "a\tb", "a\x0cb", "a\u2028b", "x" * 300,
+        "", "x\x00", "\x1c"]
+_DS = ["0", "17", "", "2024-01-01 00:00", " "]
+_GOOD_YS = ["1.5", "-0.0", "2", "+.5", "5.", "1e-300", " 2.5 ", "\xa03", "7\u2003"]
+_ODD_YS = ["1_0", "infinity", "-Infinity", "1e400", "nan", "1\x1c", "1\x00", "١", "0x10",
+           "oops", ""]
+
+
+@st.composite
+def _csv_lines(draw):
+    ident, ds = draw(st.sampled_from(_IDS)), draw(st.sampled_from(_DS))
+    y = draw(st.sampled_from(_GOOD_YS) | st.sampled_from(_GOOD_YS) | st.sampled_from(_ODD_YS))
+    return draw(st.sampled_from([
+        f"{ident},{ds},{y}", f"{ident},{ds},{y}", f"{ident},{ds},{y}", f"{ident},{ds},{y}",
+        "", " ", f"{ident},{ds}", f"{ident},{ds},{y},{ds}", f'"{ident},x",{ds},{y}',
+    ]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    lines=st.lists(_csv_lines(), max_size=12),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_newline=st.booleans(),
+)
+def test_load_csv_matches_the_per_row_reference(tmp_path_factory, lines, ending, final_newline):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    text = ending.join(["unique_id,ds,y", *lines]) + (ending if final_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+    for chunk in (1, 2, 3, preprocess._CHUNK_LINES):
+        with mock.patch.object(preprocess, "_CHUNK_LINES", chunk):
+            _assert_loads_like_reference(path)
+
+
+def _long_csv_lines(rows):
+    """Data lines over two and a half chunks: runs of ``a`` and ``b`` that
+    cross chunk boundaries, then ``a`` and ``c`` interleaved, with blank
+    lines between."""
+    lines = []
+    for i in range(rows):
+        uid = "a" if i < rows // 2 else "b" if i < 3 * rows // 4 else "ac"[i % 2]
+        lines.append(f"{uid},{i},{math.sin(i) * 10.0 ** (i % 7 - 3)!r}")
+        if i % 997 == 0:
+            lines.append("")
+    return lines
+
+
+def test_load_csv_over_several_chunks_keeps_file_order(tmp_path):
+    rows = 5 * preprocess._CHUNK_LINES // 2
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(["unique_id,ds,y", *_long_csv_lines(rows)]) + "\n")
+    loaded = load_csv(path)
+    assert [s.id for s in loaded] == ["a", "b", "c"]
+    assert [len(s) for s in loaded] == [rows // 2 + rows // 8, rows // 4, rows // 8]
+    _assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("y", ["oops", "1_0", "infinity", "1e400"])
+def test_load_csv_reads_a_chunk_edge_row_by_its_absolute_line(tmp_path, where, y):
+    # the second chunk holds file lines 2 + C .. 1 + 2C
+    chunk = preprocess._CHUNK_LINES
+    lineno = 2 + chunk if where == "first" else 1 + 2 * chunk
+    lines = ["unique_id,ds,y", *(f"s,{i},{i}.5" for i in range(3 * chunk))]
+    lines[lineno - 1] = f"s,{lineno},{y}"
+    path = tmp_path / "edge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    sample = lineno - 2
+    if y == "oops":
+        message = f"^{re.escape(str(path))}:{lineno} non-numeric y field 'oops'$"
+        with pytest.raises(SchemaError, match=message):
+            load_csv(path)
+    elif y == "1_0":
+        (series,) = load_csv(path)
+        assert series.values[sample] == 10.0
+    else:
+        with pytest.raises(SchemaError, match=f"series 's' has non-finite y inf at sample {sample}$"):
+            load_csv(path)
+    _assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("line", ['"a,b",0,1.0', 'a,0,"1.0"', 'a"b,0,1.0'])
+def test_load_csv_rejects_quotes_by_line(tmp_path, line):
+    path = tmp_path / "quoted.csv"
+    path.write_text(f"unique_id,ds,y\na,0,1.0\n{line}\n")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3 has a quote character"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("unique_id,ds,y\nsé,0,1.0\n".encode("latin-1"))
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))} is not UTF-8 text: byte 0xe9"):
+        load_csv(path)
 
 
 def test_segment_counts_and_offsets():
@@ -398,6 +520,30 @@ def test_select_series_leaves_no_worker_behind_after_an_early_stop(monkeypatch):
 def test_select_series_rejects_a_negative_keep():
     with pytest.raises(ValueError, match="keep"):
         select_series(_mixed_segments(), keep=-1, nlags=8)
+
+
+@pytest.mark.parametrize("keep", [3, 7])
+def test_select_series_screens_on_one_blas_thread_and_restores_the_count(monkeypatch, keep):
+    try:
+        before = openblas_threads()
+    except OSError:
+        pytest.skip("this platform has no /proc/self/maps to find OpenBLAS by")
+    if not before:
+        pytest.skip("no OpenBLAS with a known thread getter is loaded")
+    monkeypatch.setenv("SPECBENCH_WORKERS", "1")
+    seen = []
+
+    def counted(values, *args, **kwargs):
+        seen.append(openblas_threads())
+        return adf_test(values, *args, **kwargs)
+
+    monkeypatch.setattr(preprocess, "adf_test", counted)
+    try:
+        select_series(_mixed_segments(), keep=keep, nlags=8)  # 6 pass
+    except NotEnoughStationary:
+        assert keep == 7
+    assert seen and all(counts == {lib: 1 for lib in before} for counts in seen)
+    assert openblas_threads() == before
 
 
 _SCREEN_THREADS_CHILD = """
