@@ -39,7 +39,6 @@ class DatasetSpec:
     n_series: int = 100
     seed: int = 1
     length: int = DEFAULT_LENGTH
-    limit_series: int = 0  # 0 = use all
     k: int = 2
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class DatasetSpec:
             raise ConfigError(f"dataset {self.name!r}: k must be >= 1")
         if self.n_series < 1:
             raise ConfigError(f"dataset {self.name!r}: n_series must be >= 1")
-        if self.limit_series < 0:
-            raise ConfigError(f"dataset {self.name!r}: limit_series must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,6 @@ class ExperimentConfig:
     stride: int = 1
     split_point: int | None = None  # None: per-series length - horizon
     train: TrainConfig = field(default_factory=TrainConfig)
-    out_dir: str = "results"
 
     def __post_init__(self):
         if not self.seeds:
@@ -188,13 +184,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{kind}]")
 
     # [task] holds the task, two experiment fields and the datasets' default
-    # k; [run] holds the train config and two more experiment fields
+    # k; [run] holds the train config and the seeds
     task_kv, task_exp_kv, default_k = _split(
         "task", singles.get("task", {}),
         _section_keys(ForecastTask), {"stride", "split_point"}, {"k"},
     )
     train_kv, run_exp_kv = _split(
-        "run", singles.get("run", {}), _section_keys(TrainConfig), {"seeds", "out_dir"}
+        "run", singles.get("run", {}), _section_keys(TrainConfig), {"seeds"}
     )
     datasets = []
     for label, kv in dataset_sections:

@@ -50,7 +50,7 @@ MODES = ("ID", "OOD")
 # every run id, so bumping it makes run files written by older code cache
 # misses. Bump it whenever a change moves result values without changing
 # a config field.
-RESULT_SCHEMA = 3
+RESULT_SCHEMA = 4
 
 
 @dataclass
@@ -139,15 +139,13 @@ def synthetic_dataset(kind: str, n_series: int, seed: int, length: int) -> Synth
 def resolve_dataset(spec: DatasetSpec) -> list[TimeSeries]:
     """Materialize a dataset's composed series (cached per spec and csv bytes)."""
     digest = _csv_digest(spec.path) if spec.kind == "csv" else None
-    key = (spec.kind, spec.path, digest, spec.n_series, spec.seed, spec.length, spec.limit_series)
+    key = (spec.kind, spec.path, digest, spec.n_series, spec.seed, spec.length)
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     if spec.kind == "csv":
         series = load_csv(spec.path)
     else:
         series = synthetic_dataset(spec.kind, spec.n_series, spec.seed, spec.length).composed
-    if spec.limit_series:
-        series = series[: spec.limit_series]
     _DATASET_CACHE[key] = series
     return series
 
@@ -294,11 +292,7 @@ def _run_and_write(job) -> RunResult:
     return result
 
 
-def run_matrix(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    progress=None,
-) -> list[RunResult]:
+def run_matrix(cfg: ExperimentConfig, out_dir: str | Path, progress=None) -> list[RunResult]:
     """Execute every (dataset, model, seed, mode) cell, reusing cached runs.
 
     Pending runs go to :func:`specbench.parallel.ordered_map`: one worker
@@ -311,7 +305,7 @@ def run_matrix(
     and ``done`` per executed one: interleaved when serial, every ``run``
     first with workers.
     """
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = [
         (spec, model, seed, mode)

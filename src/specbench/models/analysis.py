@@ -60,11 +60,12 @@ def estimate_flops(cfg: ModelConfig) -> int:
         return l * w + (cfg.mlp_depth - 1) * w * w + w * h
     if cfg.family is Family.NBEATS_LITE:
         w = cfg.nbeats_hidden
-        per_block = l * w + (cfg.nbeats_depth - 1) * w * w + w * l + w * h
-        return cfg.nbeats_blocks * per_block
+        per_block = l * w + (cfg.nbeats_depth - 1) * w * w + w * h
+        # every block but the last backcasts
+        return cfg.nbeats_blocks * per_block + (cfg.nbeats_blocks - 1) * w * l
     if cfg.family is Family.NHITS_LITE:
         w = cfg.nbeats_hidden
-        total = 0
+        total = -w * l  # the last block does not backcast
         for rate in cfg.nhits_pool_rates:
             pooled = -(-l // rate)
             theta = -(-h // rate)

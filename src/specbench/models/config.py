@@ -157,6 +157,11 @@ class ModelConfig:
                 )
             if self.patch_stride <= 0:
                 raise ValueError("patch_stride must be positive")
+        # only the transformer's head emits (mu, sigma, nu); statistical
+        # families ignore the loss
+        if (self.loss is LossKind.STUDENT_T and not self.is_statistical
+                and self.family is not Family.PATCH_TRANSFORMER):
+            raise ValueError(f"the STUDENT_T loss is for PATCH_TRANSFORMER, not {self.family.value}")
         if self.family is Family.AR_LS and self.ar_order < 1:
             raise ValueError("ar_order must be at least 1")
         if self.family is Family.AR_LS and self.ar_order >= self.context_len:
@@ -198,15 +203,12 @@ class TrainConfig:
     val_check_every: int = 100
     patience: int = 20
     seed: int = field(default=1, metadata={PER_RUN: True})
-    dropout: float = 0.0
 
     def __post_init__(self):
         if min(self.lr, self.windows_batch, self.max_steps) <= 0:
             raise ValueError("lr, windows_batch, and max_steps must be positive")
         if self.val_check_every <= 0 or self.patience <= 0:
             raise ValueError("val_check_every and patience must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
 
 
 DEFAULT_SEEDS = (1, 5, 10)

@@ -82,7 +82,7 @@ class NLinear:
         self.params: dict[str, Tensor] = {}
         _linear(rng, "proj", self.params, cfg.context_len, cfg.horizon)
 
-    def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
+    def forward(self, scaled: np.ndarray) -> Tensor:
         last = scaled[:, -1:]
         return _apply(self.params, "proj", scaled - last) + last
 
@@ -96,7 +96,7 @@ class DLinear:
         _linear(rng, "seasonal", self.params, cfg.context_len, cfg.horizon)
         _linear(rng, "trend", self.params, cfg.context_len, cfg.horizon)
 
-    def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
+    def forward(self, scaled: np.ndarray) -> Tensor:
         trend, seasonal = moving_average_split(scaled, MOVING_AVG_KERNEL)
         return _apply(self.params, "seasonal", seasonal) + _apply(self.params, "trend", trend)
 
@@ -113,7 +113,7 @@ class MLP:
             _linear(rng, f"layer{i}", self.params, fi, fo)
         self.n_layers = len(dims) - 1
 
-    def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
+    def forward(self, scaled: np.ndarray) -> Tensor:
         x = scaled
         for i in range(self.n_layers):
             x = _apply(self.params, f"layer{i}", x)
@@ -123,27 +123,27 @@ class MLP:
 
 
 class _Block:
-    """One backcast/forecast block: an MLP trunk with two linear heads."""
+    """One block: an MLP trunk with a forecast head and, unless it is the
+    stack's last block, whose residual no block reads, a backcast head."""
 
-    def __init__(self, cfg, rng, params, prefix, in_dim, theta_dim):
+    def __init__(self, cfg, rng, params, prefix, in_dim, theta_dim, backcast: bool):
         self.prefix = prefix
         dims = [in_dim] + [cfg.nbeats_hidden] * cfg.nbeats_depth
         self.depth = cfg.nbeats_depth
+        self.backcast = backcast
         for i, (fi, fo) in enumerate(zip(dims, dims[1:])):
             _linear(rng, f"{prefix}.fc{i}", params, fi, fo)
-        _linear(rng, f"{prefix}.backcast", params, cfg.nbeats_hidden, cfg.context_len)
+        if backcast:
+            _linear(rng, f"{prefix}.backcast", params, cfg.nbeats_hidden, cfg.context_len)
         _linear(rng, f"{prefix}.forecast", params, cfg.nbeats_hidden, theta_dim)
 
-    def run(self, params, x, backcast: bool) -> tuple[Tensor | None, Tensor]:
-        """(backcast, forecast) of ``x``; the backcast is None when not asked
-        for, as for the last block, whose residual no block reads. That block
-        still declares its backcast, so the init stream and the parameter
-        count stay those of the full stack."""
+    def run(self, params, x) -> tuple[Tensor | None, Tensor]:
+        """(backcast, forecast) of ``x``; the backcast is None for the last block."""
         h = x
         for i in range(self.depth):
             h = relu(_apply(params, f"{self.prefix}.fc{i}", h))
         return (
-            _apply(params, f"{self.prefix}.backcast", h) if backcast else None,
+            _apply(params, f"{self.prefix}.backcast", h) if self.backcast else None,
             _apply(params, f"{self.prefix}.forecast", h),
         )
 
@@ -155,20 +155,20 @@ class NBeatsLite:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
+        last = cfg.nbeats_blocks - 1
         self.blocks = [
-            _Block(cfg, rng, self.params, f"block{i}", cfg.context_len, cfg.horizon)
+            _Block(cfg, rng, self.params, f"block{i}", cfg.context_len, cfg.horizon, i < last)
             for i in range(cfg.nbeats_blocks)
         ]
 
-    def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
+    def forward(self, scaled: np.ndarray) -> Tensor:
         # the residual is the scaled input, a constant, until the first
         # backcast is subtracted from it
         residual = scaled
         total: Tensor | None = None
-        last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks):
-            backcast, forecast = block.run(self.params, residual, backcast=i < last)
-            if i < last:
+        for block in self.blocks:
+            backcast, forecast = block.run(self.params, residual)
+            if backcast is not None:
                 residual = residual - backcast
             total = forecast if total is None else total + forecast
         return total
@@ -187,24 +187,24 @@ class NHitsLite:
         self.blocks = []
         self.pools = []
         self.interps = []
+        last = len(cfg.nhits_pool_rates) - 1
         for i, rate in enumerate(cfg.nhits_pool_rates):
             pooled_len = -(-cfg.context_len // rate)
             theta = -(-cfg.horizon // rate)
             self.pools.append(pool_matrix(cfg.context_len, rate))
             self.interps.append(interp_matrix(theta, cfg.horizon))
             self.blocks.append(
-                _Block(cfg, rng, self.params, f"block{i}", pooled_len, theta)
+                _Block(cfg, rng, self.params, f"block{i}", pooled_len, theta, i < last)
             )
 
-    def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
+    def forward(self, scaled: np.ndarray) -> Tensor:
         # as in NBeatsLite; the first pool is a product of two constants
         residual = scaled
         total: Tensor | None = None
-        last = len(self.blocks) - 1
         for i, (block, pool, interp) in enumerate(zip(self.blocks, self.pools, self.interps)):
             pooled = scaled @ pool if i == 0 else matmul(residual, pool)
-            backcast, theta = block.run(self.params, pooled, backcast=i < last)
-            if i < last:
+            backcast, theta = block.run(self.params, pooled)
+            if backcast is not None:
                 residual = residual - backcast
             forecast = matmul(theta, interp)
             total = forecast if total is None else total + forecast

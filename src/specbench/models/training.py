@@ -63,11 +63,11 @@ def _graph_loss(kind: LossKind, target_scaled: np.ndarray, prediction) -> Tensor
     raise ValueError(f"unknown loss {kind}")
 
 
-def _batch_loss(net, cfg, contexts, targets, train_rng=None, dropout=0.0) -> Tensor:
+def _batch_loss(net, cfg, contexts, targets) -> Tensor:
     state = fit_scaler(cfg.scaler, contexts)
     scaled_ctx = apply_scaler(state, contexts)
     scaled_tgt = apply_scaler(state, targets)
-    pred = net.forward(scaled_ctx, train_rng=train_rng, dropout=dropout)
+    pred = net.forward(scaled_ctx)
     return _graph_loss(cfg.loss, scaled_tgt, pred)
 
 
@@ -87,7 +87,6 @@ def fit(config: ModelConfig, train: Windows, valid: Windows | None,
 
     net = build_network(config, rng_stream(tc.seed, f"init/{config.family.value}"))
     batch_rng = rng_stream(tc.seed, "batches")
-    dropout_rng = rng_stream(tc.seed, "dropout")
     state = AdamState()
     names = list(net.params)
     tensors = [net.params[n] for n in names]
@@ -100,10 +99,8 @@ def fit(config: ModelConfig, train: Windows, valid: Windows | None,
         idx = batch_rng.integers(0, len(train), size=min(tc.windows_batch, len(train)))
         tape = Tape()
         with recording(tape):
-            loss = _batch_loss(
-                net, config, train.rows(idx, hi=train.l), train.rows(idx, lo=train.l),
-                train_rng=dropout_rng, dropout=tc.dropout,
-            )
+            loss = _batch_loss(net, config, train.rows(idx, hi=train.l),
+                               train.rows(idx, lo=train.l))
         train_loss = loss.data.item()
         if not np.isfinite(train_loss):
             raise DivergedLoss(f"{config.family.value} step {step}: non-finite training loss")

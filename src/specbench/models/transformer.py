@@ -118,7 +118,7 @@ class PatchTransformer:
         rotated = concat([-second, first], axis=-1)
         return add(mul(x, cos), mul(rotated, sin))
 
-    def _attention(self, x: Tensor, i: int, batch: int, drop_mask=None) -> Tensor:
+    def _attention(self, x: Tensor, i: int, batch: int) -> Tensor:
         q, k, v = (
             self._split_heads(_apply(self.params, f"layer{i}.attn.{name}", x), batch)
             for name in ("q", "k", "v")
@@ -133,12 +133,9 @@ class PatchTransformer:
             scores = add(scores, self._causal_mask)
         context = matmul(softmax(scores, axis=-1), v)
         merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, self.n_tokens, self.cfg.hidden))
-        out = _apply(self.params, f"layer{i}.attn.o", merged)
-        if drop_mask is not None:
-            out = mul(out, drop_mask)
-        return out
+        return _apply(self.params, f"layer{i}.attn.o", merged)
 
-    def encode(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0) -> Tensor:
+    def encode(self, scaled: np.ndarray) -> Tensor:
         """Token activations after the final norm, shape (B, tokens, hidden)."""
         scaled = np.atleast_2d(scaled)
         if self.cfg.decomposition is Decomposition.MOVING_AVG:
@@ -154,24 +151,16 @@ class PatchTransformer:
             x = _apply(self.params, "embed", tokens)
         if self._sincos is not None:
             x = add(x, self._sincos)
-        use_dropout = train_rng is not None and dropout > 0.0
         for i in range(self.cfg.n_layers):
-            mask = None
-            if use_dropout:
-                keep = train_rng.random((batch, self.n_tokens, self.cfg.hidden)) >= dropout
-                mask = keep / (1.0 - dropout)
-            x = add(x, self._attention(self._ln(x, f"layer{i}.ln1"), i, batch, mask))
+            x = add(x, self._attention(self._ln(x, f"layer{i}.ln1"), i, batch))
             hidden = relu(_apply(self.params, f"layer{i}.ff1", self._ln(x, f"layer{i}.ln2")))
-            if use_dropout:
-                keep = train_rng.random(hidden.shape) >= dropout
-                hidden = mul(hidden, keep / (1.0 - dropout))
             x = add(x, _apply(self.params, f"layer{i}.ff2", hidden))
         return self._ln(x, "final_ln")
 
-    def forward(self, scaled: np.ndarray, train_rng=None, dropout: float = 0.0):
+    def forward(self, scaled: np.ndarray):
         scaled = np.atleast_2d(scaled)
         batch = scaled.shape[0]
-        encoded = self.encode(scaled, train_rng, dropout)
+        encoded = self.encode(scaled)
         flat = reshape(encoded, (batch, self.n_tokens * self.cfg.hidden))
         if self.cfg.head is Head.LINEAR:
             out = _apply(self.params, "head", flat)

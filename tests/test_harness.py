@@ -107,8 +107,13 @@ size = TINY
         # a bad value in an existing section: (text, its replacement, message)
         pytest.param(("n_series = 2", "n_series = 0", "n_series must be >= 1"),
                      id="n_series=0"),
-        pytest.param(("n_series = 2", "n_series = 2\nlimit_series = -1",
-                      "limit_series must be >= 0"), id="limit_series=-1"),
+        # settings the config format no longer has
+        pytest.param(("windows_batch = 16", "windows_batch = 16\ndropout = 0.0",
+                      "run: unknown key 'dropout'"), id="dropout"),
+        pytest.param(("windows_batch = 16", "windows_batch = 16\nout_dir = results",
+                      "run: unknown key 'out_dir'"), id="out_dir"),
+        pytest.param(("n_series = 2", "n_series = 2\nlimit_series = 0",
+                      "dataset 'sins': unknown key 'limit_series'"), id="limit_series"),
         pytest.param(("k = 2", "k = 2\nstride = 0", "stride must be >= 1"), id="stride=0"),
     ],
 )
@@ -499,6 +504,9 @@ def test_run_id_stability(tmp_path):
     assert a == b and len(a) == 16
     assert run_id(cfg, spec, model, 5, "ID") != a
     assert run_id(cfg, spec, model, 1, "OOD") != a
+    # pinned: a change to a hashed field, a default or RESULT_SCHEMA moves
+    # these, and must update them on purpose
+    assert (a, run_id(cfg, spec, model, 1, "OOD")) == ("2f7e8c98f9e122ed", "74fbffdfe88f55c5")
 
 
 def test_run_id_hashes_materialized_model_config(tmp_path, monkeypatch):
@@ -551,6 +559,19 @@ def test_invalid_model_config_becomes_error_runs(tmp_path):
     assert len(bad) == 4 and all(r.error.startswith("PatchTooLong") for r in bad)
     assert all(r.error is None for r in results if r.model != "long_patch")
     assert len({r.run_id for r in results}) == len(results)
+
+
+@pytest.mark.parametrize("family", ["NLINEAR", "DLINEAR", "MLP", "NBEATS_LITE", "NHITS_LITE"])
+def test_student_t_on_a_point_forecaster_becomes_error_runs(tmp_path, monkeypatch, family):
+    monkeypatch.setenv("SPECBENCH_WORKERS", "1")
+    path = tmp_path / "exp.cfg"
+    path.write_text(CFG_TEXT.replace('[model "nlin"]\nfamily = NLINEAR\n',
+                                     f'[model "bad"]\nfamily = {family}\nloss = STUDENT_T\n'))
+    results = run_matrix(load_config(path), out_dir=tmp_path / "res")
+    bad = [r for r in results if r.model == "bad"]
+    message = f"ValueError: the STUDENT_T loss is for PATCH_TRANSFORMER, not {family}"
+    assert len(bad) == 4 and all(r.error == message for r in bad)
+    assert all(r.error is None for r in results if r.model != "bad")
 
 
 def test_truncated_run_file_is_recomputed(tmp_path):

@@ -166,10 +166,10 @@ def _two_layer_transformer(**kwargs):
                      "9c048c43d288bb168beb714cb5883a856123e2e48500acd45d2abe1963e00f4f",
                      id="MLP"),
         pytest.param(_tiny_cfg(Family.NBEATS_LITE),
-                     "ecd1b5ecca51533e8c2fd6aaa12759faa058b841dcbc97cfcc16f9e0f319b974",
+                     "cfb07968dc20dd56c8fedf5e42e14e6feb2ed44105be8eebb43241ec48b171dd",
                      id="NBEATS_LITE"),
         pytest.param(_tiny_cfg(Family.NHITS_LITE),
-                     "b20f2e7952011894b758eb391e09eebc68592fd422d30792e535c8ceb8ac369f",
+                     "fe5e2743e0dbe87169b7be3ff336abc0ec12c1321c34fc4001bf5e36ba1c80ae",
                      id="NHITS_LITE"),
         pytest.param(_two_layer_transformer(),
                      "32974bb094e54f0f09f6320f8235d088a91b1e36e02b5f3d4e350b33ff4689a7",
@@ -194,8 +194,8 @@ def test_initial_parameters_are_frozen(cfg, expected):
 
 @pytest.mark.parametrize("family", [Family.NBEATS_LITE, Family.NHITS_LITE])
 def test_residual_stack_skips_the_last_blocks_backcast(monkeypatch, family):
-    # no block reads the residual after the last one; its backcast keeps its
-    # parameters, so the init streams and the parameter count do not move
+    # no block reads the residual after the last one, so that block neither
+    # computes a backcast nor declares its parameters
     applied = []
     inner = networks._apply
 
@@ -209,7 +209,7 @@ def test_residual_stack_skips_the_last_blocks_backcast(monkeypatch, family):
     net.forward(np.random.default_rng(2).normal(size=(2, cfg.context_len)))
     assert [n for n in applied if n.endswith("backcast")] == ["block0.backcast", "block1.backcast"]
     assert [n for n in applied if n.endswith("forecast")] == [f"block{i}.forecast" for i in range(3)]
-    assert {"block2.backcast.w", "block2.backcast.b"} <= net.params.keys()
+    assert not {"block2.backcast.w", "block2.backcast.b"} & net.params.keys()
 
 
 def test_fit_determinism_bit_identical():
@@ -225,11 +225,14 @@ def test_fit_determinism_bit_identical():
     assert a.history == b.history
 
 
-def test_dropout_fit_unchanged_by_dropping_constant_gradients(monkeypatch):
+@pytest.mark.parametrize("pos", [PosEncoding.ROPE, PosEncoding.SINCOS_PLUS_RELATIVE])
+def test_transformer_fit_unchanged_by_dropping_constant_gradients(monkeypatch, pos):
+    # the rotary tables, the sinusoidal table and the causal mask enter the
+    # graph as constant operands, whose gradients the sweep drops
     train = _sine_windows(24, 16, 4, seed=1, noise=0.2)
     valid = _sine_windows(4, 16, 4, seed=2, noise=0.2)
-    cfg = _tiny_transformer()
-    tc = TrainConfig(max_steps=6, val_check_every=3, windows_batch=8, seed=5, dropout=0.1)
+    cfg = _tiny_transformer(pos_encoding=pos, attention=Attention.CAUSAL)
+    tc = TrainConfig(max_steps=6, val_check_every=3, windows_batch=8, seed=5)
     lean = fit(cfg, train, valid, tc)
     monkeypatch.setattr(training, "backward", backward_keeping_every_gradient)
     kept = fit(cfg, train, valid, tc)
